@@ -4,10 +4,6 @@ functions, and Laplace-integral kernels of American exercise boundaries."""
 
 from .special_functions import (
     PoleError,
-    log_gamma,
-    cgamma,
-    gamma_pole_residue,
-    beta_pole_residue,
     normal_cdf,
 )
 from .mellin_core import (

@@ -1,19 +1,18 @@
-"""Compensated summation, the shared series stopping rule, and the lock that
-serializes elevated-precision (mpmath) sections.
+"""Compensated summation, the shared series stopping rule, and sum_shells,
+the one summation loop every residue series in the library goes through.
 
-Summation order is always fixed by the caller, so converged results are
-bit-reproducible run to run.  mpmath working precision is process-global
-state; every block that adjusts it must hold MP_LOCK so concurrent callers
-cannot perturb each other's precision.
+Summation order is always fixed by the caller's shell iterator, so converged
+results are bit-reproducible run to run.  Elevated precision never touches
+mpmath's global context: each elevated computation builds its own
+mpmath.MPContext, so concurrent callers cannot perturb each other.
 """
 
 from __future__ import annotations
 
-import threading
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
-__all__ = ["KahanSum", "SeriesStopper", "MP_LOCK"]
-
-MP_LOCK = threading.RLock()
+__all__ = ["KahanSum", "SeriesStopper", "Shell", "ShellSum", "sum_shells"]
 
 
 class KahanSum:
@@ -30,58 +29,126 @@ class KahanSum:
         t = self.value + y
         self._comp = (t - self.value) - y
         self.value = t
-        return self.value
 
 
 class SeriesStopper:
     """Stopping rule shared by every residue summation in the library.
 
-    Converged after `needed` consecutive contributions each below
-    tol * max(1, |partial sum|); flagged diverging when contribution
-    magnitudes increase for `diverge_run` consecutive steps after the
-    first `diverge_grace` steps.
+    Converged after NEEDED consecutive contributions each below
+    tol * max(1, |partial sum|).  Contribution magnitudes that increase for
+    DIVERGE_RUN consecutive steps after the first DIVERGE_GRACE steps count
+    as divergence.
 
-    With abort_on_divergence the growth flag also stops the summation; callers
+    With abort_on_divergence that growth stops the summation; callers
     summing entire series (growth is always transient there) leave it off and
     rely on the convergence rule plus the unconditional overflow abort.
     """
 
     OVERFLOW = 1e300
+    NEEDED = 3
+    DIVERGE_RUN = 5
+    DIVERGE_GRACE = 10
 
-    def __init__(self, tol: float, needed: int = 3, diverge_run: int = 5,
-                 diverge_grace: int = 10, abort_on_divergence: bool = True):
+    def __init__(self, tol: float, abort_on_divergence: bool = True):
         self.tol = tol
-        self.needed = needed
-        self.diverge_run = diverge_run
-        self.diverge_grace = diverge_grace
         self.abort_on_divergence = abort_on_divergence
         self._small = 0
         self._grow = 0
         self._count = 0
         self._last_mag = None
         self.converged = False
-        self.diverging = False
 
     def update(self, contribution_mag: float, partial_mag: float) -> bool:
         """Feed one contribution magnitude; returns True when summation should stop."""
         self._count += 1
         if not contribution_mag < self.OVERFLOW:  # inf/nan included
-            self.diverging = True
             return True
         if contribution_mag <= self.tol * max(1.0, partial_mag):
             self._small += 1
-            if self._small >= self.needed:
+            if self._small >= self.NEEDED:
                 self.converged = True
                 return True
         else:
             self._small = 0
         if self._last_mag is not None and contribution_mag > self._last_mag:
             self._grow += 1
-            if self._count > self.diverge_grace and self._grow >= self.diverge_run:
-                self.diverging = True
-                if self.abort_on_divergence:
-                    return True
+            if (self.abort_on_divergence and self._count > self.DIVERGE_GRACE
+                    and self._grow >= self.DIVERGE_RUN):
+                return True
         else:
             self._grow = 0
         self._last_mag = contribution_mag
         return False
+
+
+class Shell(NamedTuple):
+    """One summed shell: its label, its non-zero (key, term) pairs, the signed
+    sum of those terms and the partial sum of the series after the shell."""
+
+    label: object
+    terms: list
+    shell_sum: object
+    partial: object
+
+
+@dataclass
+class ShellSum:
+    """Outcome of sum_shells.  `exhausted` is True when the shell iterator ran
+    dry before the stopping rule fired; `max_term` is the largest term
+    magnitude (start value included), the numerator of the condition estimate."""
+
+    value: object
+    terms_used: int
+    last_shell_magnitude: float
+    converged: bool
+    exhausted: bool
+    max_term: float
+    record: list
+
+
+def _plain(x):
+    """x as a Python float, or a Python complex when its imaginary part is non-zero."""
+    if x.imag:
+        return complex(x)
+    return float(x.real)
+
+
+def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
+               start=0.0) -> ShellSum:
+    """Sum an iterator of (label, [(key, term), ...]) shells in order.
+
+    The non-zero terms are added to `start` with compensated summation; a
+    shell with no non-zero term is skipped and never reaches the stopping
+    rule.  Every other shell feeds the sum of its term magnitudes to one
+    SeriesStopper.  The record keeps each summed shell, numbers as Python
+    floats (complex where the imaginary part is non-zero).
+    """
+    acc = KahanSum(start)
+    stopper = SeriesStopper(tol, abort_on_divergence=abort_on_divergence)
+    used = 0
+    last = 0.0
+    max_term = abs(start)
+    record = []
+    for label, pairs in shells:
+        terms = []
+        mag = 0.0
+        shell_sum = 0.0
+        for key, t in pairs:
+            if t == 0:
+                continue
+            acc.add(t)
+            shell_sum += t
+            a = abs(t)
+            mag += a
+            if a > max_term:
+                max_term = a
+            terms.append((key, _plain(t)))
+        if not terms:
+            continue
+        used += len(terms)
+        last = float(mag)
+        record.append(Shell(label, terms, _plain(shell_sum), _plain(acc.value)))
+        if stopper.update(last, float(abs(acc.value))):
+            return ShellSum(acc.value, used, last, stopper.converged, False,
+                            float(max_term), record)
+    return ShellSum(acc.value, used, last, False, True, float(max_term), record)

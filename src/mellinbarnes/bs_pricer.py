@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp
 
-from ._summation import MP_LOCK, KahanSum, SeriesStopper
+from ._summation import ShellSum, sum_shells
 from .mellin_core import (
     Contour,
     GammaFraction,
@@ -30,7 +29,7 @@ from .mellin_core import (
     select_half_plane,
     sum_residues_1d,
 )
-from .special_functions import normal_cdf
+from .special_functions import normal_cdf, require_finite
 
 __all__ = [
     "OptionContract",
@@ -68,6 +67,7 @@ class OptionContract:
             if not (v > 0.0) or not math.isfinite(v):
                 raise ValueError(f"OptionContract.{name} must be positive, got {v}")
         object.__setattr__(self, "rate", float(self.rate))
+        require_finite("OptionContract.rate", self.rate)
 
     @property
     def sigma_sqrt_tau(self) -> float:
@@ -122,88 +122,60 @@ def bs_series_term(n: int, m: int, c: OptionContract) -> float:
     return _INV_SQRT_2PI * sign * math.exp(coef_log) * strike_part
 
 
-def _series_sum_float(c: OptionContract, tol: float, max_shells: int):
-    """Double-precision shell summation; returns (result, condition estimate)."""
-    acc = KahanSum(forward_term(c))
+def _series_sum(c: OptionContract, tol: float, max_shells: int, ctx) -> ShellSum:
+    """Forward term plus the first max_shells anti-diagonal shells n + m = s of
+    the residue lattice, in the arithmetic of the mpmath context ctx
+    (mpmath.fp for double precision).
+
+    With x = [log]/(sigma sqrt tau) a term is (1/sqrt(2 pi)) (-1)^n d(n, m)
+    (S - (-1)^m K e^{-r tau}), where d(n, m) = c(n, m) x^{1+2n-m}
+    (sigma sqrt tau)^m and c(n, m) is the rational lattice coefficient.  Within
+    a shell the step (n, m) -> (n+1, m-1) multiplies d by
+    2(2n+1)m / ((p+1)(p+2)(p+3)) * x^3 / (sigma sqrt tau), with p = 1+2n-m, and
+    the x-free part c(n0, m0) (sigma sqrt tau)^m0 of each shell's first term
+    follows from the previous shell's by one rational factor, so no factorial,
+    log or exp is evaluated per term.  Keeping x out of that chain lets x = 0
+    through: only the p = 0 terms survive there.
+    """
+    S, K = ctx.mpf(c.spot), ctx.mpf(c.strike)
+    r, tau = ctx.mpf(c.rate), ctx.mpf(c.tau)
+    Kd = K * ctx.exp(-r * tau)
+    st = ctx.mpf(c.sigma) * ctx.sqrt(tau)
+    x = (ctx.log(S / K) + r * tau) / st
+    x3_st = x * x * x / st
+    inv = 1 / ctx.sqrt(2 * ctx.pi)
+    strike_part = (S - Kd, S + Kd)
+
+    def shells():
+        # x-free part c(n0, m0) st^m0 of the shell's first term (n0, m0)
+        n0, m0, e0 = 0, 0, ctx.mpf(1)
+        for s in range(max_shells):
+            pw0 = pw = 1 + 2 * n0 - m0
+            d = e0 * x ** pw
+            pairs = []
+            for n in range(n0, s + 1):
+                m = s - n
+                t = inv * d * strike_part[m % 2]
+                pairs.append(((n, m), -t if n % 2 else t))
+                d = d * (2 * (2 * n + 1) * m) / ((pw + 1) * (pw + 2) * (pw + 3)) * x3_st
+                pw += 3
+            yield s, pairs
+            if pw0 > 0:
+                e0 = e0 * pw0 / (2 * (m0 + 1)) * st
+                m0 += 1
+            else:
+                e0 = e0 * (2 * n0 + 1) / 2
+                n0 += 1
+
     # the lattice sum is entire: shell growth is transient, never divergence
-    stopper = SeriesStopper(tol, abort_on_divergence=False)
-    max_abs = abs(acc.value)
-    used = 0
-    last_shell = 0.0
-    stopped = False
-    for shell in range(max_shells):
-        shell_mag = 0.0
-        for n in range(shell + 1):
-            t = bs_series_term(n, shell - n, c)
-            if t == 0.0:
-                continue
-            acc.add(t)
-            used += 1
-            shell_mag += abs(t)
-            if abs(t) > max_abs:
-                max_abs = abs(t)
-        last_shell = shell_mag
-        if stopper.update(shell_mag, abs(acc.value)):
-            stopped = True
-            break
-    res = ResidueSeriesResult(value=acc.value, terms_used=used,
-                              last_shell_magnitude=last_shell,
-                              converged=stopped and stopper.converged)
-    cond = max_abs / max(abs(acc.value), 1e-300)
-    return res, cond
+    return sum_shells(shells(), tol, abort_on_divergence=False, start=(S - Kd) / 2)
 
 
-def _series_sum_mp(c: OptionContract, tol: float, max_shells: int, dps: int) -> ResidueSeriesResult:
-    """The identical shell summation carried out in mpmath arithmetic."""
-    with MP_LOCK, mp.workdps(dps):
-        S = mpmath.mpf(c.spot)
-        Kd = mpmath.mpf(c.strike) * mpmath.exp(-mpmath.mpf(c.rate) * mpmath.mpf(c.tau))
-        st = mpmath.mpf(c.sigma) * mpmath.sqrt(mpmath.mpf(c.tau))
-        L = mpmath.log(S / mpmath.mpf(c.strike)) + mpmath.mpf(c.rate) * mpmath.mpf(c.tau)
-        inv = 1 / mpmath.sqrt(2 * mpmath.pi)
-        st_pow = {}
-
-        def stp(e: int):
-            if e not in st_pow:
-                st_pow[e] = st ** e
-            return st_pow[e]
-
-        total = (S - Kd) / 2
-        stopper = SeriesStopper(tol, abort_on_divergence=False)
-        used = 0
-        last_shell = 0.0
-        stopped = False
-        fact = [mpmath.mpf(1)]
-
-        def factorial(k: int):
-            while len(fact) <= k:
-                fact.append(fact[-1] * len(fact))
-            return fact[k]
-
-        for shell in range(max_shells):
-            shell_mag = mpmath.mpf(0)
-            for n in range(shell + 1):
-                m = shell - n
-                pw = 1 + 2 * n - m
-                if pw < 0:
-                    continue
-                if L == 0 and pw > 0:
-                    continue
-                coef = factorial(2 * n) / (mpmath.mpf(2) ** (n + m) * factorial(n)
-                                           * factorial(m) * factorial(pw))
-                t = inv * coef * (S - (-1) ** m * Kd) * L ** pw * stp(-1 + 2 * (m - n))
-                if n % 2:
-                    t = -t
-                total += t
-                used += 1
-                shell_mag += abs(t)
-            last_shell = float(shell_mag)
-            if stopper.update(float(shell_mag), abs(float(total))):
-                stopped = True
-                break
-        return ResidueSeriesResult(value=float(total), terms_used=used,
-                                   last_shell_magnitude=last_shell,
-                                   converged=stopped and stopper.converged)
+def _series_sum_mp(c: OptionContract, tol: float, max_shells: int, dps: int) -> ShellSum:
+    """The identical shell summation in a private mpmath context at dps digits."""
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    return _series_sum(c, tol, max_shells, ctx)
 
 
 def bs_series(c: OptionContract, tol: float = 1e-10, max_shells: int = 200) -> ResidueSeriesResult:
@@ -211,18 +183,18 @@ def bs_series(c: OptionContract, tol: float = 1e-10, max_shells: int = 200) -> R
 
     Far from the money (|[log]|/(sigma sqrt tau) > MONEYNESS_SERIES_LIMIT) the
     result is flagged non-converged; callers should use the closed form there.
+    The record holds every term as ((n, m), term).
     """
-    q = abs(log_moneyness(c)) / c.sigma_sqrt_tau
-    if q > MONEYNESS_SERIES_LIMIT:
-        res, _ = _series_sum_float(c, tol, max_shells)
-        res.converged = False
-        return res
-    res, cond = _series_sum_float(c, tol, max_shells)
-    # roundoff floor of the double pass: term rounding scaled by the condition number
-    if cond * 5e-16 > 0.1 * tol:
-        dps = 25 + int(math.log10(cond))
-        return _series_sum_mp(c, tol, max_shells, dps)
-    return res
+    s = _series_sum(c, tol, max_shells, mpmath.fp)
+    cond = s.max_term / max(abs(s.value), 1e-300)
+    if abs(log_moneyness(c)) / c.sigma_sqrt_tau > MONEYNESS_SERIES_LIMIT:
+        s.converged = False
+    elif cond * 5e-16 > 0.1 * tol:
+        # roundoff floor of the double pass: term rounding scaled by the condition number
+        s = _series_sum_mp(c, tol, max_shells, 25 + int(math.log10(cond)))
+    return ResidueSeriesResult(value=float(s.value), terms_used=s.terms_used,
+                               last_shell_magnitude=s.last_shell_magnitude,
+                               converged=s.converged, record=s.record)
 
 
 # ---------------------------------------------------------------------------

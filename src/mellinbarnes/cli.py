@@ -17,7 +17,7 @@ import math
 import sys
 from typing import Optional
 
-from . import bs_pricer, fractional_green, laplace_american, mellin_core
+from . import bs_pricer, fractional_green, laplace_american
 from .bs_pricer import OptionContract
 from .fractional_green import FractionalDiffusionParams
 from .laplace_american import AmericanConstants, UnreliableInversionError
@@ -27,8 +27,9 @@ from .mellin_core import (
     GammaFraction,
     GammaLinearFactor,
     PowerFactor,
-    residue_1d,
-    enumerate_poles_1d,
+    compatible_cone_2d,
+    sum_residues_1d,
+    sum_residues_2d,
 )
 
 __all__ = ["main"]
@@ -133,7 +134,7 @@ def _parse_grid(text: str) -> list:
         lo, hi, step = (float(tok) for tok in text.split(":"))
     except ValueError:
         raise ValueError(f"grid must be lo:hi:step, got {text!r}")
-    if step <= 0 or hi < lo:
+    if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo:
         raise ValueError(f"bad grid bounds {text!r}")
     out = []
     k = 0
@@ -187,18 +188,16 @@ def _merge_options(args: argparse.Namespace, needed: list) -> dict:
         elif key in _DEFAULTS:
             out[key] = _DEFAULTS[key]
         else:
-            raise _UsageError(f"missing required option --{key.replace('_', '-')}")
+            raise ValueError(f"missing required option --{key.replace('_', '-')}")
+        if isinstance(out[key], float) and not math.isfinite(out[key]):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {out[key]}")
     if out["format"] not in ("human", "json", "csv"):
-        raise _UsageError(f"unknown format {out['format']!r}")
+        raise ValueError(f"unknown format {out['format']!r}")
     if not out["tol"] > 0:
-        raise _UsageError("tolerance must be positive")
+        raise ValueError("tolerance must be positive")
     if out["max_terms"] < 1:
-        raise _UsageError("max-terms must be >= 1")
+        raise ValueError("max-terms must be >= 1")
     return out
-
-
-class _UsageError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +206,8 @@ class _UsageError(ValueError):
 
 def cmd_price(args) -> int:
     opts = _merge_options(args, ["spot", "strike", "tau", "sigma", "rate"])
-    try:
-        contract = OptionContract(spot=opts["spot"], strike=opts["strike"],
-                                  tau=opts["tau"], rate=opts["rate"], sigma=opts["sigma"])
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    contract = OptionContract(spot=opts["spot"], strike=opts["strike"],
+                              tau=opts["tau"], rate=opts["rate"], sigma=opts["sigma"])
     closed = bs_pricer.bs_closed_form(contract)
     series = bs_pricer.bs_series(contract, tol=opts["tol"], max_shells=opts["max_terms"])
     fwd = bs_pricer.forward_term(contract)
@@ -227,16 +223,7 @@ def cmd_price(args) -> int:
         "terms_used": series.terms_used,
     }
     report.columns = ["n", "m", "value"]
-    shell = 0
-    emitted = 0
-    while emitted < series.terms_used and shell < opts["max_terms"]:
-        for n in range(shell + 1):
-            m = shell - n
-            v = bs_pricer.bs_series_term(n, m, contract)
-            if v != 0.0:
-                report.rows.append([n, m, v])
-                emitted += 1
-        shell += 1
+    report.rows = [[n, m, v] for shell in series.record for (n, m), v in shell.terms]
     if not series.converged:
         report.diagnostics["warning"] = ("series not converged; closed form is authoritative "
                                          f"(reported price {series_price})")
@@ -246,14 +233,11 @@ def cmd_price(args) -> int:
 
 def cmd_green(args) -> int:
     opts = _merge_options(args, ["alpha", "gamma_t", "theta", "mu", "tau", "x_grid"])
-    try:
-        params = FractionalDiffusionParams(alpha=opts["alpha"], gamma_t=opts["gamma_t"],
-                                           theta=opts["theta"], mu=opts["mu"])
-        grid = _parse_grid(opts["x_grid"])
-        if opts["tau"] <= 0:
-            raise ValueError("tau must be positive")
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    params = FractionalDiffusionParams(alpha=opts["alpha"], gamma_t=opts["gamma_t"],
+                                       theta=opts["theta"], mu=opts["mu"])
+    grid = _parse_grid(opts["x_grid"])
+    if opts["tau"] <= 0:
+        raise ValueError("tau must be positive")
     report = _Report("green", {k: opts[k] for k in ("alpha", "gamma_t", "theta", "mu", "tau", "x_grid", "tol", "max_terms")})
     report.columns = ["x", "density", "flag"]
     failed = 0
@@ -283,12 +267,7 @@ def cmd_american(args) -> int:
     sub = args.american_command
     if sub == "boundary":
         opts = _merge_options(args, ["rate", "sigma", "tau_grid"])
-        try:
-            if opts["rate"] <= 0 or opts["sigma"] <= 0:
-                raise ValueError("boundary requires rate > 0 and sigma > 0")
-            grid = _parse_grid(opts["tau_grid"])
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+        grid = _parse_grid(opts["tau_grid"])
         report = _Report("american-boundary",
                          {k: opts[k] for k in ("rate", "sigma", "tau_grid", "tol", "max_terms")})
         report.columns = ["tau", "boundary_over_strike", "talbot", "vertical", "agreement", "flag"]
@@ -308,12 +287,7 @@ def cmd_american(args) -> int:
 
     if sub == "kernel":
         opts = _merge_options(args, ["rate", "sigma", "n", "m", "tau"])
-        try:
-            consts = AmericanConstants.from_rates(opts["rate"], opts["sigma"])
-            if opts["n"] < 1 or opts["m"] < 1 or opts["tau"] <= 0:
-                raise ValueError("kernel requires n, m >= 1 and tau > 0")
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+        consts = AmericanConstants.from_rates(opts["rate"], opts["sigma"])
         report = _Report("american-kernel",
                          {k: opts[k] for k in ("rate", "sigma", "n", "m", "tau", "tol", "max_terms")})
         report.columns = ["n", "m", "series", "oracle", "gap"]
@@ -332,10 +306,11 @@ def cmd_american(args) -> int:
         _emit(report, opts)
         return EXIT_OK if series.converged else EXIT_NUMERICAL
 
-    raise _UsageError("american needs a subcommand: boundary or kernel")
+    raise ValueError("american needs a subcommand: boundary or kernel")
 
 
 def _demo_fraction(kind: str, xs: list) -> tuple:
+    """(integrand, contour, closed-form value) of a demo."""
     if kind == "exp":
         frac = GammaFraction(numerator=(GammaLinearFactor((1.0,), 0.0),),
                              powers=(PowerFactor(xs[0], (-1.0,), 0.0),))
@@ -345,69 +320,42 @@ def _demo_fraction(kind: str, xs: list) -> tuple:
                                         GammaLinearFactor((-1.0,), 1.0)),
                              powers=(PowerFactor(xs[0], (-1.0,), 0.0),))
         return frac, Contour((0.5,)), 1.0 / (1.0 + xs[0])
-    raise _UsageError(f"unknown demo {kind!r}")
+    if kind == "exp2d":
+        frac = GammaFraction(
+            numerator=(GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1.0), 0.0)),
+            powers=(PowerFactor(xs[0], (-1.0, 0.0), 0.0), PowerFactor(xs[1], (0.0, -1.0), 0.0)))
+        return frac, Contour((1.0, 1.0)), math.exp(-(xs[0] + xs[1]))
+    raise ValueError(f"unknown demo {kind!r}")
 
 
 def cmd_demo(args) -> int:
     kind = args.demo_command
     opts = _merge_options(args, ["side"] if kind == "beta" else [])
     xvals = [float(v) for v in args.x]
-    if kind in ("exp", "beta"):
-        if len(xvals) != 1 or xvals[0] <= 0:
-            raise _UsageError(f"demo {kind} needs one positive --x value")
-        frac, contour, reference = _demo_fraction(kind, xvals)
-        direction = Direction.LEFT
-        if kind == "beta" and opts["side"] == "right":
-            direction = Direction.RIGHT
-        elif kind == "beta" and opts["side"] not in ("left", "right"):
-            raise _UsageError("--side must be left or right")
+    count = 2 if kind == "exp2d" else 1
+    if len(xvals) != count or not all(0 < v < math.inf for v in xvals):
+        raise ValueError(f"demo {kind} needs {count} positive, finite --x value(s)")
+    if kind == "beta" and opts["side"] not in ("left", "right"):
+        raise ValueError("--side must be left or right")
+    frac, contour, reference = _demo_fraction(kind, xvals)
+    if kind == "exp2d":
+        cone = compatible_cone_2d(frac, contour)
+        report = _Report("demo-exp2d", {"x1": xvals[0], "x2": xvals[1], "tol": opts["tol"]})
+        report.columns = ["shell", "shell_sum", "partial_sum"]
+        report.summary["cone"] = [f.value for f in cone.faces]
+        res = sum_residues_2d(frac, contour, cone, tol=opts["tol"], max_shells=opts["max_terms"])
+    else:
+        direction = Direction.RIGHT if opts.get("side") == "right" else Direction.LEFT
         report = _Report(f"demo-{kind}", {"x": xvals[0], "side": opts.get("side", "left"),
                                           "tol": opts["tol"]})
         report.columns = ["pole", "residue_term", "partial_sum"]
-        orient = 1.0 if direction is Direction.LEFT else -1.0
-        total = 0.0
-        shown = 0
-        for loc, order in enumerate_poles_1d(frac, direction, opts["max_terms"], contour):
-            if order == 0:
-                continue
-            term = orient * complex(residue_1d(frac, loc)).real
-            total += term
-            report.rows.append([loc, term, total])
-            shown += 1
-            if shown >= 30 or (shown > 3 and abs(term) < opts["tol"] * max(1.0, abs(total))):
-                break
-        report.summary = {"reference": reference, "partial_sum": total,
-                          "abs_error": abs(total - reference)}
-        _emit(report, opts)
-        return EXIT_OK
-    if kind == "exp2d":
-        if len(xvals) != 2 or min(xvals) <= 0:
-            raise _UsageError("demo exp2d needs --x X1 X2 (both positive)")
-        frac = GammaFraction(
-            numerator=(GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1.0), 0.0)),
-            powers=(PowerFactor(xvals[0], (-1.0, 0.0), 0.0), PowerFactor(xvals[1], (0.0, -1.0), 0.0)))
-        contour = Contour((1.0, 1.0))
-        cone = mellin_core.compatible_cone_2d(frac, contour)
-        report = _Report("demo-exp2d", {"x1": xvals[0], "x2": xvals[1], "tol": opts["tol"]})
-        report.columns = ["shell", "shell_sum", "partial_sum"]
-        total = 0.0
-        reference = math.exp(-(xvals[0] + xvals[1]))
-        for shell in range(30):
-            ssum = 0.0
-            for k1 in range(shell + 1):
-                k2 = shell - k1
-                term = complex(mellin_core.grothendieck_residue_2d(frac, (-float(k1), -float(k2)))).real
-                ssum += term
-            total += ssum
-            report.rows.append([shell, ssum, total])
-            if shell > 3 and abs(ssum) < opts["tol"] * max(1.0, abs(total)):
-                break
-        report.summary = {"reference": reference, "partial_sum": total,
-                          "abs_error": abs(total - reference),
-                          "cone": [f.value for f in cone.faces]}
-        _emit(report, opts)
-        return EXIT_OK
-    raise _UsageError(f"unknown demo {kind!r}")
+        res = sum_residues_1d(frac, contour, direction, tol=opts["tol"],
+                              max_terms=opts["max_terms"])
+    report.rows = [[sh.label, sh.shell_sum, sh.partial] for sh in res.record]
+    report.summary.update(reference=reference, partial_sum=res.value,
+                          abs_error=abs(res.value - reference))
+    _emit(report, opts)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +428,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except ValueError as exc:  # invalid input, rejected by the CLI or the library
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnreliableInversionError, fractional_green.ConvergenceError) as exc:

@@ -32,8 +32,10 @@ from .mellin_core import (
     PowerFactor,
     ResidueSeriesResult,
     delta_vector,
+    select_half_plane,
     sum_residues_1d,
 )
+from .special_functions import require_finite
 
 __all__ = [
     "FractionalDiffusionParams",
@@ -46,9 +48,6 @@ __all__ = [
     "esscher_mu_numeric",
     "default_esscher_grid",
 ]
-
-_DELTA_TOL = 1e-12
-
 
 class ConvergenceError(ArithmeticError):
     """The residue series did not converge at the requested point."""
@@ -75,6 +74,7 @@ class FractionalDiffusionParams:
         object.__setattr__(self, "gamma_t", g)
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "mu", mu)
+        require_finite("FractionalDiffusionParams", a, g, th, mu)
         if not 0.0 < a <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
         if not 0.0 < g <= 1.0:
@@ -113,10 +113,9 @@ def green_fraction(p: FractionalDiffusionParams, u: float) -> GammaFraction:
 
 
 def _pick_direction(delta: float, u: float) -> Direction:
-    if delta < -_DELTA_TOL:
-        return Direction.RIGHT
-    if delta > _DELTA_TOL:
-        return Direction.LEFT
+    side = select_half_plane(delta, Contour((0.0,)))  # the contour fixes only the dimension
+    if side is not Direction.BOTH:
+        return side
     # zero-slope case: the right sum is the small-u expansion, the left the
     # large-u one (the power factor is u^{+t})
     return Direction.RIGHT if u < 1.0 else Direction.LEFT
@@ -125,6 +124,7 @@ def _pick_direction(delta: float, u: float) -> Direction:
 def green_fractional_series(x: float, t: float, p: FractionalDiffusionParams,
                             tol: float = 1e-12, max_terms: int = 400) -> ResidueSeriesResult:
     """Density with full summation diagnostics; see green_fractional."""
+    require_finite("x and t", x, t)
     if x == 0.0:
         raise ValueError("green function domain error at x = 0 (1/(alpha x) prefactor)")
     if t <= 0.0:
@@ -136,13 +136,13 @@ def green_fractional_series(x: float, t: float, p: FractionalDiffusionParams,
     u = x / scale
     frac = green_fraction(p, u)
     delta = delta_vector(frac)[0]
-    direction = _pick_direction(delta, u)
-    gamma1 = 0.5 * min(1.0, p.alpha)
+    contour = Contour((0.5 * min(1.0, p.alpha),))
     # for delta != 0 the theorem-selected side is an entire series in u: any
     # growth is transient and is summed through; at delta = 0 the series has a
     # finite radius and persistent growth means the wrong side truly diverges
-    res = sum_residues_1d(frac, Contour((gamma1,)), direction, tol=tol, max_terms=max_terms,
-                          early_divergence_exit=(abs(delta) <= _DELTA_TOL))
+    zero_slope = select_half_plane(delta, contour) is Direction.BOTH
+    res = sum_residues_1d(frac, contour, _pick_direction(delta, u), tol=tol,
+                          max_terms=max_terms, early_divergence_exit=zero_slope)
     pref = 1.0 / (p.alpha * x)
     return ResidueSeriesResult(value=pref * res.real_value(), terms_used=res.terms_used,
                                last_shell_magnitude=pref * res.last_shell_magnitude,

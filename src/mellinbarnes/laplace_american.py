@@ -36,11 +36,10 @@ from typing import Callable, Optional
 
 import numpy as np
 import mpmath
-from mpmath import mp
 
-from ._summation import MP_LOCK, KahanSum, SeriesStopper
+from ._summation import KahanSum, sum_shells
 from .mellin_core import ResidueSeriesResult
-from .special_functions import PoleError, is_nonpositive_integer, real_gamma_sign
+from .special_functions import PoleError, is_nonpositive_integer, real_gamma_sign, require_finite
 
 __all__ = [
     "AmericanConstants",
@@ -84,6 +83,7 @@ class AmericanConstants:
     b: float
 
     def __post_init__(self):
+        require_finite("AmericanConstants", self.gamma_c, self.a, self.b)
         if self.gamma_c <= 0.0:
             raise ValueError("gamma_c = 2r/sigma^2 must be positive")
         if abs(self.a * self.a - self.b * self.b - self.gamma_c) > 1e-14 * max(1.0, self.a * self.a):
@@ -100,8 +100,10 @@ class AmericanConstants:
 @dataclass(frozen=True)
 class LaplaceSymbol:
     """Image function phi(p), analytic for Re(p) > mu_min, with the vertical
-    contour placed at Re(p) = mu.  phi must accept python complex and
-    mpmath.mpc arguments (use the mpmath functions or cmath symmetrically)."""
+    contour placed at Re(p) = mu.  phi receives python complex arguments on the
+    vertical line and mpc values of a private mpmath context on the Talbot
+    contour, so it must use only plain arithmetic and the _sqrt/_exp/_log
+    helpers of this module, which evaluate in the argument's own context."""
 
     func: Callable
     mu: float
@@ -123,20 +125,18 @@ class InversionResult:
         return abs(self.talbot - self.vertical)
 
 
-def _is_mp(p) -> bool:
-    return isinstance(p, (mpmath.mpc, mpmath.mpf))
-
-
+# mpmath values evaluate in their own context: the module-level mpmath
+# functions would round a private-context value to the global precision
 def _sqrt(p):
-    return mpmath.sqrt(p) if _is_mp(p) else cmath.sqrt(p)
+    return p.context.sqrt(p) if hasattr(p, "context") else cmath.sqrt(p)
 
 
 def _exp(p):
-    return mpmath.exp(p) if _is_mp(p) else cmath.exp(p)
+    return p.context.exp(p) if hasattr(p, "context") else cmath.exp(p)
 
 
 def _log(p):
-    return mpmath.log(p) if _is_mp(p) else cmath.log(p)
+    return p.context.log(p) if hasattr(p, "context") else cmath.log(p)
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +196,22 @@ def f_shifted(n: int, alpha: float, nu: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def talbot_inverse(func: Callable, x: float, m: int = 48) -> float:
-    """Fixed-Talbot inversion with working precision scaled to the node count
-    (the contour spans a dynamic range ~e^{2m/5}, far beyond double)."""
+    """Fixed-Talbot inversion in a private mpmath context whose working
+    precision is scaled to the node count (the contour spans a dynamic range
+    ~e^{2m/5}, far beyond double)."""
     if x <= 0.0:
         raise ValueError("talbot_inverse requires x > 0")
-    with MP_LOCK:
-        old = mp.dps
-        try:
-            mp.dps = int(0.19 * m) + 20
-            r = mpmath.mpf(2 * m) / (5 * mpmath.mpf(x))
-            total = mpmath.exp(r * x) * func(mpmath.mpc(r, 0)) / 2
-            total = total.real if isinstance(total, mpmath.mpc) else total
-            for k in range(1, m):
-                th = mpmath.pi * k / m
-                cot = mpmath.cos(th) / mpmath.sin(th)
-                p = r * th * mpmath.mpc(cot, 1)
-                sigma = th + (th * cot - 1) * cot
-                total += (mpmath.exp(p * x) * func(p) * mpmath.mpc(1, sigma)).real
-            return float(r * total / m)
-        finally:
-            mp.dps = old
+    ctx = mpmath.MPContext()
+    ctx.dps = int(0.19 * m) + 20
+    r = ctx.mpf(2 * m) / (5 * ctx.mpf(x))
+    total = ctx.re(ctx.exp(r * x) * func(ctx.mpc(r, 0)) / 2)
+    for k in range(1, m):
+        th = ctx.pi * k / m
+        cot = ctx.cos(th) / ctx.sin(th)
+        p = r * th * ctx.mpc(cot, 1)
+        sigma = th + (th * cot - 1) * cot
+        total += (ctx.exp(p * x) * func(p) * ctx.mpc(1, sigma)).real
+    return float(r * total / m)
 
 
 _GL_CACHE: dict = {}
@@ -279,6 +275,7 @@ def inverse_laplace(sym: LaplaceSymbol, x: float, tol: float = 1e-9,
                     talbot_m: int = 48, panels: int = 160) -> InversionResult:
     """Dual-contour Bromwich inversion; raises UnreliableInversionError when
     the fixed-Talbot and vertical-line results disagree beyond 100*tol."""
+    require_finite("x", x)
     t_val = talbot_inverse(sym.func, x, m=talbot_m)
     v_val = vertical_inverse(sym.func, x, mu=effective_abscissa(sym, x), panels=panels)
     if abs(t_val - v_val) > 100.0 * tol * max(1.0, abs(t_val)):
@@ -415,6 +412,7 @@ def american_kernel_series(n: int, m: int, tau: float, c: AmericanConstants,
     """
     if n < 1 or m < 1:
         raise ValueError("kernel orders n, m must be positive integers")
+    require_finite("tau", tau)
     if tau <= 0.0:
         raise ValueError("american_kernel_series requires tau > 0")
     a, b = c.a, c.b
@@ -429,31 +427,26 @@ def american_kernel_series(n: int, m: int, tau: float, c: AmericanConstants,
         return ResidueSeriesResult(value=sign * acc.value, terms_used=kpow + 1,
                                    last_shell_magnitude=0.0, converged=True)
 
-    acc = KahanSum(0.0)
-    stopper = SeriesStopper(tol)
-    used = 0
-    last = 0.0
-    converged = False
     log_b = math.log(abs(b)) if b != 0.0 else None
     neg_b_sign = 1.0 if b <= 0.0 else -1.0  # sign of (-b)
-    for j in range(max_shells):
-        if j > 0 and b == 0.0:
-            converged = True
-            break
-        coef_log = math.lgamma(ell + j) - math.lgamma(j + 1) - math.lgamma(ell)
-        if j > 0:
-            coef_log += j * log_b
-        term_sign = 1.0 if j % 2 == 0 else neg_b_sign
-        pterm = regularized_gamma_p((ell + j) / 2.0, a2 * tau)
-        term = term_sign * math.exp(coef_log - (ell + j) * math.log(a)) * pterm
-        acc.add(term)
-        used += 1
-        last = abs(term)
-        if stopper.update(last, abs(acc.value)):
-            converged = stopper.converged
-            break
-    return ResidueSeriesResult(value=sign * acc.value, terms_used=used,
-                               last_shell_magnitude=last, converged=converged)
+
+    def shells():
+        for j in range(max_shells):
+            if j > 0 and b == 0.0:
+                return  # every term past j = 0 carries a factor b^j = 0
+            coef_log = math.lgamma(ell + j) - math.lgamma(j + 1) - math.lgamma(ell)
+            if j > 0:
+                coef_log += j * log_b
+            term_sign = 1.0 if j % 2 == 0 else neg_b_sign
+            pterm = regularized_gamma_p((ell + j) / 2.0, a2 * tau)
+            yield j, [(j, term_sign * math.exp(coef_log - (ell + j) * math.log(a)) * pterm)]
+
+    s = sum_shells(shells(), tol)
+    # b = 0: the single j = 0 term is the whole series, unless the budget cut it off
+    complete = b == 0.0 and s.exhausted and s.terms_used < max_shells
+    return ResidueSeriesResult(value=sign * s.value, terms_used=s.terms_used,
+                               last_shell_magnitude=s.last_shell_magnitude,
+                               converged=s.converged or complete)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +492,7 @@ def exercise_boundary(tau: float, r: float, sigma: float, tol: float = 1e-9,
                       talbot_m: int = 48, panels: int = 160) -> InversionResult:
     """Optimal exercise boundary (units of strike) at time-to-maturity tau, by
     dual-contour Bromwich inversion of the boundary symbol."""
+    require_finite("tau", tau)
     if tau <= 0.0:
         raise ValueError("exercise_boundary requires tau > 0")
     sym = boundary_symbol(r, sigma)

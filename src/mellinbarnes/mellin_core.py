@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from ._summation import KahanSum, SeriesStopper
-from .special_functions import real_gamma_sign, real_log_abs_gamma
+from ._summation import ShellSum, sum_shells
+from .special_functions import real_gamma_sign, real_log_abs_gamma, require_finite
 
 __all__ = [
     "Direction",
@@ -83,6 +83,7 @@ class GammaLinearFactor:
         cs = tuple(float(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "offset", float(self.offset))
+        require_finite("GammaLinearFactor coefficients and offset", *cs, self.offset)
         if all(c == 0.0 for c in cs):
             raise ValueError("GammaLinearFactor coefficients must not all vanish")
 
@@ -106,6 +107,8 @@ class PowerFactor:
         object.__setattr__(self, "base", float(self.base))
         object.__setattr__(self, "exponent_coeffs", tuple(float(c) for c in self.exponent_coeffs))
         object.__setattr__(self, "exponent_offset", float(self.exponent_offset))
+        require_finite("PowerFactor base and exponent", self.base, *self.exponent_coeffs,
+                       self.exponent_offset)
         if self.base <= 0.0:
             raise ValueError("PowerFactor base must be positive")
 
@@ -182,6 +185,7 @@ class Contour:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
+        require_finite("Contour abscissae", *self.gamma)
 
     @property
     def dim(self) -> int:
@@ -203,14 +207,27 @@ class Cone:
 
 @dataclass
 class ResidueSeriesResult:
+    """A summed series; `record` holds its summed shells (see _summation.Shell)."""
+
     value: complex
     terms_used: int
     last_shell_magnitude: float
     converged: bool
+    record: list = field(default_factory=list)
 
     def real_value(self) -> float:
         v = complex(self.value)
         return v.real
+
+
+def _series_result(s: ShellSum, converged: bool, last: float) -> ResidueSeriesResult:
+    """A residue series result from a sum_shells outcome; real values as float."""
+    value = s.value
+    if value.imag == 0.0:
+        value = value.real
+    return ResidueSeriesResult(value=value, terms_used=s.terms_used,
+                               last_shell_magnitude=last, converged=converged,
+                               record=s.record)
 
 
 def delta_vector(f: GammaFraction) -> tuple:
@@ -441,38 +458,28 @@ def sum_residues_1d(f: GammaFraction, contour: Contour, direction: Direction,
         raise ValueError("sum_residues_1d applies to one-dimensional fractions")
     if direction not in (Direction.LEFT, Direction.RIGHT):
         raise ValueError("summation direction must be LEFT or RIGHT")
-    gamma = contour.gamma[0]
-    locs = _candidate_locations_1d(f, 0, gamma, direction, max_terms + 8)
+    locs = _candidate_locations_1d(f, 0, contour.gamma[0], direction, max_terms + 8)
     orient = 1.0 if direction is Direction.LEFT else -1.0
-    acc = KahanSum(complex(0.0))
-    stopper = SeriesStopper(tol, abort_on_divergence=early_divergence_exit)
-    used = 0
-    last_mag = 0.0
-    stopped = False
-    ran_out = False
-    for loc in locs:
-        if used >= max_terms:
-            ran_out = True
-            break
-        term = _residue_at_point(f, (loc,))
-        if term == 0.0:
-            continue
-        acc.add(orient * term)
-        used += 1
-        last_mag = abs(term)
-        if stopper.update(last_mag, abs(acc.value)):
-            stopped = True
-            break
-    value = acc.value
-    if value.imag == 0.0:
-        value = value.real
-    converged = stopped and stopper.converged
-    if not stopped and not ran_out and _side_is_finite(f, 0, direction):
+    out_of_budget = False
+
+    def shells():
+        nonlocal out_of_budget
+        used = 0
+        for loc in locs:
+            if used >= max_terms:
+                out_of_budget = True
+                return
+            term = _residue_at_point(f, (loc,))
+            if term != 0.0:
+                used += 1
+            yield loc, [(loc, orient * term)]
+
+    s = sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit,
+                   start=complex(0.0))
+    if s.exhausted and not out_of_budget and _side_is_finite(f, 0, direction):
         # every pole on this side has been summed: the tail is exactly empty
-        converged = True
-        last_mag = 0.0
-    return ResidueSeriesResult(value=value, terms_used=used,
-                               last_shell_magnitude=last_mag, converged=converged)
+        return _series_result(s, converged=True, last=0.0)
+    return _series_result(s, s.converged, s.last_shell_magnitude)
 
 
 # ---------------------------------------------------------------------------
@@ -548,42 +555,23 @@ def sum_residues_2d(f: GammaFraction, contour: Contour, cone: Cone,
         return ResidueSeriesResult(value=0.0, terms_used=0,
                                    last_shell_magnitude=0.0, converged=True)
 
-    acc = KahanSum(complex(0.0))
-    stopper = SeriesStopper(tol, abort_on_divergence=early_divergence_exit)
-    used = 0
-    last_shell = 0.0
-    stopped = False
     n1, n2 = len(locs[0]), len(locs[1])
     shell_cap = min(max_shells, n1 + n2 - 1)
-    for shell in range(shell_cap):
-        shell_mag = 0.0
-        touched = False
-        for k1 in range(shell + 1):
-            k2 = shell - k1
-            if k1 >= n1 or k2 >= n2:
-                continue
-            term = _residue_at_point(f, (locs[0][k1], locs[1][k2]))
-            if term == 0.0:
-                continue
-            acc.add(orient * term)
-            used += 1
-            shell_mag += abs(term)
-            touched = True
-        if not touched:
-            continue
-        last_shell = shell_mag
-        if stopper.update(shell_mag, abs(acc.value)):
-            stopped = True
-            break
-    value = acc.value
-    if value.imag == 0.0:
-        value = value.real
-    converged = stopped and stopper.converged
-    if (not stopped and shell_cap == n1 + n2 - 1
+
+    def shells():
+        for shell in range(shell_cap):
+            pairs = []
+            for k1 in range(shell + 1):
+                k2 = shell - k1
+                if k1 < n1 and k2 < n2:
+                    term = _residue_at_point(f, (locs[0][k1], locs[1][k2]))
+                    pairs.append(((k1, k2), orient * term))
+            yield shell, pairs
+
+    s = sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit,
+                   start=complex(0.0))
+    if (s.exhausted and shell_cap == n1 + n2 - 1
             and _side_is_finite(f, 0, cone.faces[0]) and _side_is_finite(f, 1, cone.faces[1])):
         # the whole (finite) intersection lattice has been summed
-        converged = True
-        last_shell = 0.0
-    return ResidueSeriesResult(value=value, terms_used=used,
-                               last_shell_magnitude=last_shell,
-                               converged=converged)
+        return _series_result(s, converged=True, last=0.0)
+    return _series_result(s, s.converged, s.last_shell_magnitude)

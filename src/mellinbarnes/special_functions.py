@@ -1,4 +1,4 @@
-"""Complex special functions and pole-residue primitives.
+"""Real special functions, pole tests and input checks.
 
 Everything here is a pure function of its arguments; the rest of the library
 builds Mellin-Barnes integrands out of these pieces.
@@ -6,39 +6,18 @@ builds Mellin-Barnes integrands out of these pieces.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 __all__ = [
     "PoleError",
-    "log_gamma",
-    "cgamma",
-    "gamma_pole_residue",
-    "beta_pole_residue",
     "normal_cdf",
     "real_log_abs_gamma",
     "real_gamma_sign",
     "is_nonpositive_integer",
+    "require_finite",
 ]
 
 POLE_TOL = 1e-12
-
-# Lanczos approximation, g = 7, 9 coefficients (Godfrey/Pugh set).
-# Relative accuracy ~1e-14 on the half-plane Re(z) >= 1/2.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class PoleError(ValueError):
@@ -51,66 +30,6 @@ def is_nonpositive_integer(x: float, tol: float = POLE_TOL) -> bool:
         return False
     n = round(x)
     return n <= 0 and abs(x - n) <= tol
-
-
-def _log_gamma_lanczos(z: complex) -> complex:
-    # valid for Re(z) >= 0.5
-    zm1 = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (zm1 + i)
-    t = zm1 + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
-def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z).
-
-    Lanczos approximation for Re(z) >= 1/2, reflection formula otherwise.
-    Raises PoleError within 1e-12 of a nonpositive integer.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and is_nonpositive_integer(z.real):
-        raise PoleError(f"log_gamma pole at z = {z.real}")
-    if z.real >= 0.5:
-        return _log_gamma_lanczos(z)
-    # reflection: log G(z) = log(pi) - log(sin(pi z)) - log G(1-z), adjusted so the
-    # imaginary part stays on the principal branch (continuous off the real axis).
-    log_sin = _log_sin_pi(z)
-    out = math.log(math.pi) - log_sin - _log_gamma_lanczos(1.0 - z)
-    return out
-
-
-def _log_sin_pi(z: complex) -> complex:
-    # log(sin(pi z)) computed without overflow for large |Im z|:
-    # sin(pi z) = (e^{i pi z} - e^{-i pi z}) / (2i)
-    if abs(z.imag) < 20.0:
-        return cmath.log(cmath.sin(math.pi * z))
-    # |Im| large: sin(pi z) = -(i/2) sign(Im) e^{-i pi z sign(Im)} up to a
-    # relative e^{-2 pi |Im|} < 1e-54 correction, below double resolution
-    s = 1.0 if z.imag > 0 else -1.0
-    w = -1j * math.pi * z * s
-    return w + math.log(0.5) + 1j * s * math.pi / 2.0
-
-
-def cgamma(z: complex) -> complex:
-    """Gamma(z) for complex z (exp of log_gamma; same pole behaviour)."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real > 0.5:
-        return complex(math.gamma(z.real))
-    return cmath.exp(log_gamma(z))
-
-
-def gamma_pole_residue(n: int) -> float:
-    """Residue of Gamma at z = -n: (-1)^n / n!."""
-    if n < 0:
-        raise ValueError("pole index must be a nonnegative integer")
-    return (-1.0 if n % 2 else 1.0) * math.exp(-math.lgamma(n + 1))
-
-
-def beta_pole_residue(n: int) -> float:
-    """Residue of Gamma(z)Gamma(1-z) at z = -n, any integer n: (-1)^n."""
-    return -1.0 if n % 2 else 1.0
 
 
 def normal_cdf(u: float) -> float:
@@ -137,3 +56,10 @@ def real_gamma_sign(x: float) -> float:
     # Gamma alternates sign on (-k-1, -k): negative on (-1,0), positive on (-2,-1), ...
     k = math.floor(-x)
     return -1.0 if k % 2 == 0 else 1.0
+
+
+def require_finite(what: str, *values: float) -> None:
+    """Raise ValueError, naming `what`, when any of the values is nan or infinite."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{what} must be finite, got {v}")

@@ -5,6 +5,7 @@ the lines; every tolerance is fixed here, nothing is calibrated elsewhere.
 
 import concurrent.futures
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -274,22 +275,24 @@ def test_criterion_8_exercise_boundary():
             f"boundary range [{min(values):.6f}, {max(values):.6f}]")
 
 
-def test_criterion_9_determinism():
-    """Converged results bit-identical across repeated runs and across threads."""
+def _criterion_9_workload(_=None):
+    # module level, so process-pool workers can unpickle it
     c = OptionContract(spot=60.0, strike=100.0, tau=1.0, rate=0.0, sigma=0.1)  # escalated path
     tol = 1e-9 * bs_closed_form(c)
     consts = AmericanConstants.from_rates(0.1, 0.3)
     gauss = FractionalDiffusionParams(alpha=2.0, gamma_t=1.0, theta=0.0, mu=0.5)
+    return (
+        bs_series(c, tol=tol).value,
+        bs_series(OptionContract(3700.0, 4000.0, 1.0, 0.01, 0.25), tol=1e-12).value,
+        green_fractional(1.3, 1.0, gauss),
+        american_kernel_series(2, 3, 0.25, consts).value,
+        exercise_boundary(0.25, 0.1, 0.3).value,
+    )
 
-    def workload():
-        return (
-            bs_series(c, tol=tol).value,
-            bs_series(OptionContract(3700.0, 4000.0, 1.0, 0.01, 0.25), tol=1e-12).value,
-            green_fractional(1.3, 1.0, gauss),
-            american_kernel_series(2, 3, 0.25, consts).value,
-            exercise_boundary(0.25, 0.1, 0.3).value,
-        )
 
+def test_criterion_9_determinism():
+    """Converged results bit-identical across repeated runs, threads and processes."""
+    workload = _criterion_9_workload
     base = workload()
     for _ in range(2):
         assert workload() == base
@@ -297,6 +300,10 @@ def test_criterion_9_determinism():
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda _: workload(), range(workers * 2)))
         assert all(r == base for r in results)
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        results = list(pool.map(workload, range(4), timeout=300))
+    assert all(r == base for r in results)
 
     # CLI machine output byte-identical
     import io
@@ -310,4 +317,5 @@ def test_criterion_9_determinism():
         return buf.getvalue()
 
     assert cli_bytes() == cli_bytes()
-    _report("criterion 9", "bit-identical across reruns, 2/4-thread pools, and CLI emissions")
+    _report("criterion 9", "bit-identical across reruns, 2/4-thread pools, a 2-process pool, "
+            "and CLI emissions")

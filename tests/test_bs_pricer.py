@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from mellinbarnes.bs_pricer import (
     MONEYNESS_SERIES_LIMIT,
     OptionContract,
+    _series_sum,
     bs_closed_form,
     bs_series,
     bs_series_term,
@@ -82,6 +84,21 @@ def test_series_near_money_region():
             cf = bs_closed_form(c)
             assert res.converged
             assert abs(res.value - cf) / cf <= 1e-8
+
+
+def test_recurrence_shells_match_closed_form_terms():
+    # tol = 0 never stops: the record holds every term of the first 60 shells
+    record = _series_sum(REFERENCE_CONTRACT, 0.0, 60, mpmath.fp).record
+    assert [shell.label for shell in record] == list(range(60))
+    worst = 0.0
+    for shell in record:
+        s = shell.label
+        assert [key for key, _ in shell.terms] == [(n, s - n) for n in range(s + 1) if 1 + 3 * n >= s]
+        for (n, m), term in shell.terms:
+            want = bs_series_term(n, m, REFERENCE_CONTRACT)
+            assert want != 0.0
+            worst = max(worst, abs(term - want) / abs(want))
+    assert worst <= 1e-12
 
 
 def test_series_zero_log_moneyness_structure():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from mellinbarnes.bs_pricer import OptionContract, bs_closed_form, bs_series
 from mellinbarnes.cli import main
 
 
@@ -69,6 +70,20 @@ def test_missing_flag_exit_2(capsys):
     code, _, err = run_cli(capsys, "price", "--spot", "3700")
     assert code == 2
     assert "strike" in err
+
+
+def test_price_rows_are_the_series_record(capsys):
+    # escalated to mpmath: the rows are the elevated pass's own terms
+    c = OptionContract(spot=60.0, strike=100.0, tau=1.0, rate=0.0, sigma=0.1)
+    tol = 1e-9 * bs_closed_form(c)
+    code, out, _ = run_cli(capsys, "price", "--spot", "60", "--strike", "100", "--tau", "1",
+                           "--sigma", "0.1", "--rate", "0", "--tol", repr(tol),
+                           "--max-terms", "200", "--format", "json")
+    assert code == 0
+    series = bs_series(c, tol=tol, max_shells=200)
+    want = [[n, m, v] for shell in series.record for (n, m), v in shell.terms]
+    assert json.loads(out)["results"]["rows"] == want
+    assert len(want) == series.terms_used == 1587
 
 
 def test_price_nonconverged_exit_3(capsys):
@@ -157,6 +172,14 @@ def test_demo_beta_right(capsys):
     code, out, _ = run_cli(capsys, "demo", "beta", "--x", "4", "--side", "right")
     assert code == 0
     assert "reference = 0.2" in out
+
+
+def test_demo_beta_sums_to_tolerance(capsys):
+    code, out, _ = run_cli(capsys, "demo", "beta", "--x", "0.35", "--tol", "1e-16",
+                           "--format", "json")
+    assert code == 0
+    summary = json.loads(out)["results"]["summary"]
+    assert abs(summary["partial_sum"] - 1.0 / 1.35) <= 1e-15
 
 
 def test_demo_exp2d(capsys):

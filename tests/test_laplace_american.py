@@ -9,7 +9,9 @@ from mellinbarnes.laplace_american import (
     AmericanConstants,
     LaplaceSymbol,
     UnreliableInversionError,
+    _exp,
     _invl_w_pow_over_p,
+    _log,
     _sqrt,
     american_kernel_oracle,
     american_kernel_series,
@@ -143,6 +145,15 @@ def test_inverse_laplace_detects_branch_right_of_talbot_contour():
     sym = LaplaceSymbol(func=lambda p: 1 / (p * _sqrt(p - 5.0)), mu=6.0, mu_min=5.0)
     with pytest.raises(UnreliableInversionError):
         inverse_laplace(sym, 4.0)
+
+
+def test_symbol_helpers_keep_the_precision_of_a_private_context():
+    ctx = mpmath.MPContext()
+    ctx.dps = 40
+    p = ctx.mpc(2, 1)
+    assert _sqrt(p) == ctx.sqrt(p) and _exp(p) == ctx.exp(p) and _log(p) == ctx.log(p)
+    assert abs(_sqrt(p) - complex(_sqrt(p))) > ctx.mpf(10) ** -30
+    assert _sqrt(complex(4.0, 0.0)) == 2.0
 
 
 def test_talbot_and_vertical_agree_on_decaying_kernel():

@@ -1,96 +1,12 @@
-import cmath
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from mellinbarnes.special_functions import (
-    PoleError,
-    beta_pole_residue,
-    cgamma,
-    gamma_pole_residue,
-    log_gamma,
     normal_cdf,
     real_gamma_sign,
     real_log_abs_gamma,
 )
-
-
-def test_log_gamma_identity_points():
-    assert abs(log_gamma(1.0)) < 1e-14
-    assert abs(log_gamma(0.5) - math.log(math.sqrt(math.pi))) < 1e-14
-    assert abs(log_gamma(4.0) - math.log(6.0)) < 1e-13
-
-
-def test_log_gamma_matches_real_gamma_on_axis():
-    for x in [0.1, 0.37, 1.5, 2.0, 3.25, 7.9, 12.0, 20.5]:
-        assert math.exp(log_gamma(x).real) == pytest.approx(math.gamma(x), rel=1e-13)
-    for x in [-0.5, -1.7, -3.3, -6.25]:
-        got = cmath.exp(log_gamma(complex(x, 0.0)))
-        assert got.real == pytest.approx(math.gamma(x), rel=1e-12)
-
-
-def test_log_gamma_pole_errors():
-    for z in [0.0, -1.0, -2.0, -17.0]:
-        with pytest.raises(PoleError):
-            log_gamma(z)
-        with pytest.raises(PoleError):
-            log_gamma(z + 1e-13)
-
-
-def test_reflection_formula_complex_grid():
-    # Gamma(z) Gamma(1-z) = pi / sin(pi z), relative 1e-12 off the integers
-    for re in [-2.3, -0.6, 0.2, 0.5, 1.4, 3.7]:
-        for im in [-2.0, -0.5, 0.0, 0.3, 1.7]:
-            z = complex(re, im)
-            lhs = cgamma(z) * cgamma(1.0 - z)
-            rhs = math.pi / cmath.sin(math.pi * z)
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-
-def test_recurrence_complex_grid():
-    for re in [-3.4, -1.2, 0.3, 2.6, 5.1]:
-        for im in [-4.0, -1.0, 0.7, 3.0]:
-            z = complex(re, im)
-            lhs = cgamma(z + 1.0)
-            rhs = z * cgamma(z)
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-
-def test_log_gamma_large_imaginary():
-    # reflection path must not overflow for large |Im z|
-    z = complex(-0.5, 120.0)
-    lhs = log_gamma(z) + log_gamma(1.0 - z)
-    rhs = cmath.log(math.pi) - cmath.log(cmath.sin(math.pi * complex(-0.5, 120.0)))
-    # compare Gamma(z)Gamma(1-z) against pi/sin(pi z) in log space, mod 2 pi i
-    diff = lhs - rhs
-    assert abs(diff.real) < 1e-10
-    assert min(abs(diff.imag - 2 * math.pi * k) for k in range(-3, 4)) < 1e-10
-
-
-def test_gamma_pole_residue_values():
-    assert gamma_pole_residue(0) == pytest.approx(1.0, abs=1e-15)
-    assert gamma_pole_residue(1) == pytest.approx(-1.0, abs=1e-15)
-    assert gamma_pole_residue(3) == pytest.approx(-1.0 / 6.0, abs=1e-15)
-
-
-def test_gamma_pole_residue_matches_limit():
-    # (z+n) Gamma(z) -> residue as z -> -n
-    for n in range(7):
-        eps = 1e-7
-        est = (eps * cgamma(complex(-n + eps, 0.0))).real
-        assert est == pytest.approx(gamma_pole_residue(n), abs=1e-8, rel=1e-6)
-
-
-def test_beta_pole_residue_values_and_limit():
-    assert beta_pole_residue(0) == 1.0
-    assert beta_pole_residue(2) == 1.0
-    assert beta_pole_residue(-1) == -1.0
-    for n in [-3, -1, 0, 1, 4]:
-        eps = 1e-7
-        z = complex(-n + eps, 0.0)
-        est = (eps * cgamma(z) * cgamma(1.0 - z)).real
-        assert est == pytest.approx(beta_pole_residue(n), rel=1e-6)
 
 
 def test_normal_cdf_basics():
@@ -116,14 +32,3 @@ def test_real_gamma_sign():
     assert math.copysign(1.0, math.gamma(-4.3)) == real_gamma_sign(-4.3)
     assert real_log_abs_gamma(-4.3) == pytest.approx(math.lgamma(-4.3), rel=1e-15)
 
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=-20.0, max_value=20.0))
-def test_reflection_property_random_reals(x):
-    frac = x - round(x)
-    if abs(frac) < 1e-3:
-        return
-    z = complex(x, 0.0)
-    lhs = cgamma(z) * cgamma(1.0 - z)
-    rhs = math.pi / cmath.sin(math.pi * z)
-    assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
