@@ -1,10 +1,14 @@
+import cmath
 import math
 import pathlib
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mellinbarnes._summation import KahanSum
 from mellinbarnes.laplace_american import (
     AmericanConstants,
     LaplaceSymbol,
@@ -15,7 +19,9 @@ from mellinbarnes.laplace_american import (
     _sqrt,
     american_kernel_oracle,
     american_kernel_series,
+    american_kernel_symbol,
     boundary_symbol,
+    effective_abscissa,
     exercise_boundary,
     f_power,
     f_shifted,
@@ -164,6 +170,79 @@ def test_talbot_and_vertical_agree_on_decaying_kernel():
         # the vertical method's error scale is set by e^{mu x}, so its
         # *relative* accuracy degrades as the value decays at large x
         assert vertical_inverse(f, x, mu=1.0) == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+
+def _vertical_node_by_node(func, x, mu, panels=160, nodes=24, averaged=40, symbol_scale=4.0):
+    """Reference for vertical_inverse: the same nodes, one scalar symbol call
+    each, cells added in order within a panel."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    h = math.pi / x
+    nsub = min(128, max(1, math.ceil(h / symbol_scale)))
+    partials = []
+    acc = KahanSum(0.0)
+    for k in range(panels):
+        s = 0.0
+        for j in range(nsub):
+            mid = (k + (j + 0.5) / nsub) * h
+            half = 0.5 * h / nsub
+            for xi, wi in zip(xs, ws):
+                y = mid + half * xi
+                s += wi * half * (complex(func(complex(mu, y))) * cmath.exp(1j * y * x)).real
+        acc.add(s)
+        partials.append(acc.value)
+    tail = partials[-averaged:]
+    while len(tail) > 1:
+        tail = [0.5 * (tail[i] + tail[i + 1]) for i in range(len(tail) - 1)]
+    return math.exp(mu * x) / math.pi * tail[0]
+
+
+def test_vertical_inverse_matches_node_by_node_reference():
+    # numpy sums a panel's cells in another order and its sqrt/exp/log/cos
+    # may differ in the last bit: a few ulps per node, far below 1e-12
+    boundary = boundary_symbol(0.1, 0.3)
+    kernel = american_kernel_symbol(2, 1, CONSTS)
+    for sym, x in ((boundary, 0.25), (boundary, 1.0), (kernel, 1.0)):
+        mu = effective_abscissa(sym, x)
+        want = _vertical_node_by_node(sym.func, x, mu)
+        assert vertical_inverse(sym.func, x, mu) == pytest.approx(want, rel=1e-12)
+
+
+def test_vertical_inverse_calls_the_symbol_on_blocks_of_nodes():
+    sym = boundary_symbol(0.1, 0.3)
+    args = []
+
+    def spy(p):
+        args.append(p)
+        return sym.func(p)
+
+    vertical_inverse(spy, 0.25, mu=sym.mu)
+    # 160 panels x 4 cells x 24 nodes = 15,360 nodes, at most 4096 per call
+    assert len(args) == math.ceil(160 * 4 * 24 / 4096) == 4
+    assert all(isinstance(p, np.ndarray) and p.dtype == complex and p.size <= 4096
+               for p in args)
+    assert sum(p.size for p in args) == 160 * 4 * 24
+
+
+def test_vertical_inverse_memory_is_bounded_by_the_block():
+    # x = 0.05 has 61,440 nodes; evaluated at once the symbol's temporaries
+    # take several MB
+    sym = boundary_symbol(0.1, 0.3)
+    mu = effective_abscissa(sym, 0.05)
+    vertical_inverse(sym.func, 0.05, mu)
+    tracemalloc.start()
+    try:
+        vertical_inverse(sym.func, 0.05, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_non_finite_contour_values_are_unreliable():
+    # e^{-p^2} overflows on both contours; neither inf nor nan may pass the band
+    sym = LaplaceSymbol(lambda p: _exp(-p * p), mu=1.0)
+    with pytest.raises(UnreliableInversionError):
+        inverse_laplace(sym, 1.0)
 
 
 def test_regularized_gamma_p_against_mpmath():

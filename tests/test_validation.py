@@ -14,7 +14,13 @@ from mellinbarnes.laplace_american import (
     american_kernel_oracle,
     american_kernel_series,
     exercise_boundary,
+    f_power,
+    f_shifted,
     inverse_laplace,
+    laguerre_gen,
+    regularized_gamma_p,
+    talbot_inverse,
+    vertical_inverse,
 )
 from mellinbarnes.mellin_core import Contour, GammaLinearFactor, PowerFactor
 
@@ -38,6 +44,13 @@ ENTRY_POINTS = {
     "kernel_series_tau_inf": lambda: american_kernel_series(2, 1, INF, CONSTS),
     "kernel_oracle_tau_nan": lambda: american_kernel_oracle(2, 1, NAN, CONSTS),
     "inverse_laplace_x_nan": lambda: inverse_laplace(LaplaceSymbol(lambda p: 1 / p, 1.0), NAN),
+    "talbot_x_nan": lambda: talbot_inverse(lambda p: 1 / p, NAN),
+    "talbot_x_inf": lambda: talbot_inverse(lambda p: 1 / p, INF),
+    "vertical_mu_nan": lambda: vertical_inverse(lambda p: 1 / p, 1.0, mu=NAN),
+    "gamma_p_s_nan": lambda: regularized_gamma_p(NAN, 1.0),
+    "f_power_x_nan": lambda: f_power(NAN, 0.5),
+    "f_shifted_x_nan": lambda: f_shifted(1, 0.5, 1.5, NAN),
+    "laguerre_alpha_nan": lambda: laguerre_gen(2, NAN, 1.0, 0.5),
     "green_x_nan": lambda: green_fractional_series(NAN, 1.0, GAUSS),
     "green_t_inf": lambda: green_fractional_series(0.5, INF, GAUSS),
     "green_params_theta_nan": lambda: FractionalDiffusionParams(1.5, 1.0, NAN, 1.0),
