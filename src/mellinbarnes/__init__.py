@@ -10,7 +10,6 @@ from .mellin_core import (
     Direction,
     GammaLinearFactor,
     PowerFactor,
-    SignFactor,
     GammaFraction,
     Contour,
     Cone,
@@ -20,10 +19,8 @@ from .mellin_core import (
     delta_vector,
     select_half_plane,
     enumerate_poles_1d,
-    residue_1d,
     sum_residues_1d,
     compatible_cone_2d,
-    grothendieck_residue_2d,
     sum_residues_2d,
 )
 from .bs_pricer import (

@@ -29,7 +29,7 @@ from .mellin_core import (
     select_half_plane,
     sum_residues_1d,
 )
-from .special_functions import normal_cdf, require_finite
+from .special_functions import normal_cdf, require_finite, require_positive
 
 __all__ = [
     "OptionContract",
@@ -185,6 +185,7 @@ def bs_series(c: OptionContract, tol: float = 1e-10, max_shells: int = 200) -> R
     result is flagged non-converged; callers should use the closed form there.
     The record holds every term as ((n, m), term).
     """
+    require_positive("tol and max_shells", tol, max_shells)
     s = _series_sum(c, tol, max_shells, mpmath.fp)
     cond = s.max_term / max(abs(s.value), 1e-300)
     if abs(log_moneyness(c)) / c.sigma_sqrt_tau > MONEYNESS_SERIES_LIMIT:
@@ -203,6 +204,7 @@ def bs_series(c: OptionContract, tol: float = 1e-10, max_shells: int = 200) -> R
 
 def heat_kernel(y: float, tau: float, sigma: float) -> float:
     """Gaussian density (1/(sigma sqrt(2 pi tau))) exp(-y^2/(2 sigma^2 tau))."""
+    require_finite("heat_kernel", y, tau, sigma)
     if tau <= 0.0 or sigma <= 0.0:
         raise ValueError("heat_kernel requires tau > 0 and sigma > 0")
     v = sigma * sigma * tau
@@ -231,6 +233,6 @@ def heat_kernel_mb(y: float, tau: float, sigma: float, tol: float = 1e-12,
         raise ValueError("heat_kernel_mb requires y > 0, tau > 0, sigma > 0")
     f = heat_kernel_fraction(y, tau, sigma)
     contour = Contour((0.5,))
-    direction = select_half_plane(delta_vector(f)[0], contour)
+    direction = select_half_plane(delta_vector(f)[0])
     res = sum_residues_1d(f, contour, direction, tol=tol, max_terms=max_terms)
     return res.real_value() / (2.0 * y)

@@ -113,7 +113,7 @@ def green_fraction(p: FractionalDiffusionParams, u: float) -> GammaFraction:
 
 
 def _pick_direction(delta: float, u: float) -> Direction:
-    side = select_half_plane(delta, Contour((0.0,)))  # the contour fixes only the dimension
+    side = select_half_plane(delta)
     if side is not Direction.BOTH:
         return side
     # zero-slope case: the right sum is the small-u expansion, the left the
@@ -140,7 +140,7 @@ def green_fractional_series(x: float, t: float, p: FractionalDiffusionParams,
     # for delta != 0 the theorem-selected side is an entire series in u: any
     # growth is transient and is summed through; at delta = 0 the series has a
     # finite radius and persistent growth means the wrong side truly diverges
-    zero_slope = select_half_plane(delta, contour) is Direction.BOTH
+    zero_slope = select_half_plane(delta) is Direction.BOTH
     res = sum_residues_1d(frac, contour, _pick_direction(delta, u), tol=tol,
                           max_terms=max_terms, early_divergence_exit=zero_slope)
     pref = 1.0 / (p.alpha * x)

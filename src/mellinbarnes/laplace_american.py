@@ -38,7 +38,8 @@ import mpmath
 
 from ._summation import KahanSum, sum_shells
 from .mellin_core import ResidueSeriesResult
-from .special_functions import PoleError, is_nonpositive_integer, real_gamma_sign, require_finite
+from .special_functions import (PoleError, is_nonpositive_integer, real_gamma_sign, require_finite,
+                                require_positive)
 
 __all__ = [
     "AmericanConstants",
@@ -238,8 +239,11 @@ def _gauss_legendre(n: int):
 # a symbol builds, so memory does not grow with the node count
 _BLOCK_NODES = 4096
 
+# half-period panels of the vertical line
+_PANELS = 160
 
-def vertical_inverse(func: Callable, x: float, mu: float, panels: int = 160,
+
+def vertical_inverse(func: Callable, x: float, mu: float, panels: int = _PANELS,
                      nodes: int = 24, averaged: int = 40,
                      symbol_scale: float = 4.0) -> float:
     """Truncated vertical-line inversion at abscissa mu.
@@ -257,6 +261,7 @@ def vertical_inverse(func: Callable, x: float, mu: float, panels: int = 160,
     that the result is finite.
     """
     require_finite("vertical_inverse", x, mu)
+    require_positive("panels", panels)
     if x <= 0.0:
         raise ValueError("vertical_inverse requires x > 0")
     xs, ws = _gauss_legendre(nodes)
@@ -298,14 +303,14 @@ def effective_abscissa(sym: LaplaceSymbol, x: float) -> float:
     return min(sym.mu, max(sym.mu_min + 0.5, 8.0 / x))
 
 
-def inverse_laplace(sym: LaplaceSymbol, x: float, tol: float = 1e-9,
-                    talbot_m: int = 48, panels: int = 160) -> InversionResult:
+def inverse_laplace(sym: LaplaceSymbol, x: float, tol: float = 1e-9) -> InversionResult:
     """Dual-contour Bromwich inversion; raises UnreliableInversionError when
     either contour value is not finite or the fixed-Talbot and vertical-line
     results disagree beyond 100*tol."""
     require_finite("x", x)
-    t_val = talbot_inverse(sym.func, x, m=talbot_m)
-    v_val = vertical_inverse(sym.func, x, mu=effective_abscissa(sym, x), panels=panels)
+    require_positive("tol", tol)
+    t_val = talbot_inverse(sym.func, x)
+    v_val = vertical_inverse(sym.func, x, mu=effective_abscissa(sym, x))
     if not (math.isfinite(t_val) and math.isfinite(v_val)):
         raise UnreliableInversionError(
             f"contour values not finite at x={x}: talbot={t_val!r}, vertical={v_val!r}")
@@ -333,13 +338,12 @@ def american_kernel_symbol(n: int, m: int, c: AmericanConstants) -> LaplaceSymbo
     return LaplaceSymbol(func=phi, mu=max(1.0, a2 + 1.0), mu_min=0.0)
 
 
-def american_kernel_oracle(n: int, m: int, tau: float, c: AmericanConstants,
-                           tol: float = 1e-7) -> float:
+def american_kernel_oracle(n: int, m: int, tau: float, c: AmericanConstants) -> float:
     """Dual-contour Bromwich inversion of the raw kernel (1/p factor included,
     so this is the running integral of the unsmoothed transform)."""
     if tau <= 0.0:
         raise ValueError("american_kernel_oracle requires tau > 0")
-    return inverse_laplace(american_kernel_symbol(n, m, c), tau, tol=tol).value
+    return inverse_laplace(american_kernel_symbol(n, m, c), tau, tol=1e-7).value
 
 
 def regularized_gamma_p(s: float, x: float) -> float:
@@ -445,6 +449,7 @@ def american_kernel_series(n: int, m: int, tau: float, c: AmericanConstants,
     if n < 1 or m < 1:
         raise ValueError("kernel orders n, m must be positive integers")
     require_finite("tau", tau)
+    require_positive("tol and max_shells", tol, max_shells)
     if tau <= 0.0:
         raise ValueError("american_kernel_series requires tau > 0")
     a, b = c.a, c.b
@@ -520,16 +525,15 @@ def _check_branch_path(r: float, sigma: float, mu: float, height: float,
             f"log argument crosses the negative real axis near Im p = {float(y[k])}")
 
 
-def exercise_boundary(tau: float, r: float, sigma: float, tol: float = 1e-9,
-                      talbot_m: int = 48, panels: int = 160) -> InversionResult:
+def exercise_boundary(tau: float, r: float, sigma: float, tol: float = 1e-9) -> InversionResult:
     """Optimal exercise boundary (units of strike) at time-to-maturity tau, by
     dual-contour Bromwich inversion of the boundary symbol."""
     require_finite("tau", tau)
     if tau <= 0.0:
         raise ValueError("exercise_boundary requires tau > 0")
     sym = boundary_symbol(r, sigma)
-    _check_branch_path(r, sigma, effective_abscissa(sym, tau), height=panels * math.pi / tau)
-    return inverse_laplace(sym, tau, tol=tol, talbot_m=talbot_m, panels=panels)
+    _check_branch_path(r, sigma, effective_abscissa(sym, tau), height=_PANELS * math.pi / tau)
+    return inverse_laplace(sym, tau, tol=tol)
 
 
 # ---------------------------------------------------------------------------

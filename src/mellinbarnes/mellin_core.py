@@ -17,20 +17,19 @@ signs multiply.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
 from ._summation import ShellSum, sum_shells
-from .special_functions import real_gamma_sign, real_log_abs_gamma, require_finite
+from .special_functions import (real_gamma_sign, real_log_abs_gamma, require_finite,
+                                require_positive)
 
 __all__ = [
     "Direction",
     "GammaLinearFactor",
     "PowerFactor",
-    "SignFactor",
     "GammaFraction",
     "Contour",
     "Cone",
@@ -41,10 +40,8 @@ __all__ = [
     "delta_vector",
     "select_half_plane",
     "enumerate_poles_1d",
-    "residue_1d",
     "sum_residues_1d",
     "compatible_cone_2d",
-    "grothendieck_residue_2d",
     "sum_residues_2d",
 ]
 
@@ -121,41 +118,13 @@ class PowerFactor:
 
 
 @dataclass(frozen=True)
-class SignFactor:
-    """(-1) ** (<exponent_coeffs|z> + exponent_offset), principal branch.
-
-    At (near-)integer exponents this is the exact parity sign; otherwise the
-    unit-modulus phase exp(i pi e).
-    """
-
-    exponent_coeffs: tuple
-    exponent_offset: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent_coeffs", tuple(float(c) for c in self.exponent_coeffs))
-        object.__setattr__(self, "exponent_offset", float(self.exponent_offset))
-
-    @property
-    def dim(self) -> int:
-        return len(self.exponent_coeffs)
-
-    def phase(self, z: Sequence[float]) -> complex:
-        e = sum(c * x for c, x in zip(self.exponent_coeffs, z)) + self.exponent_offset
-        k = round(e)
-        if abs(e - k) <= LOC_TOL:
-            return complex(-1.0 if k % 2 else 1.0)
-        return cmath.exp(1j * math.pi * e)
-
-
-@dataclass(frozen=True)
 class GammaFraction:
-    """prod Gamma(num) / prod Gamma(den) * prod powers * constant * sign_factor."""
+    """prod Gamma(num) / prod Gamma(den) * prod powers * constant."""
 
     numerator: tuple
     denominator: tuple = ()
     powers: tuple = ()
     constant: complex = 1.0
-    sign_factor: Optional[SignFactor] = None
 
     def __post_init__(self):
         object.__setattr__(self, "numerator", tuple(self.numerator))
@@ -164,8 +133,6 @@ class GammaFraction:
         dims = {f.dim for f in self.numerator}
         dims |= {f.dim for f in self.denominator}
         dims |= {p.dim for p in self.powers}
-        if self.sign_factor is not None:
-            dims.add(self.sign_factor.dim)
         if len(dims) != 1:
             raise ValueError(f"inconsistent factor dimensions: {sorted(dims)}")
         object.__setattr__(self, "_dim", dims.pop())
@@ -243,10 +210,9 @@ def delta_vector(f: GammaFraction) -> tuple:
     return tuple(out)
 
 
-def select_half_plane(delta: float, contour: Contour) -> Direction:
-    """Half-plane selection for d=1: Delta>0 LEFT, Delta<0 RIGHT, Delta=0 BOTH."""
-    if contour.dim != 1:
-        raise ValueError("select_half_plane applies to one-dimensional contours")
+def select_half_plane(delta: float) -> Direction:
+    """Half-plane of one variable with slope Delta: Delta>0 LEFT, Delta<0 RIGHT,
+    Delta=0 BOTH."""
     if delta > _DELTA_TOL:
         return Direction.LEFT
     if delta < -_DELTA_TOL:
@@ -303,35 +269,6 @@ def _side_is_finite(f: GammaFraction, axis: int, direction: Direction) -> bool:
     return True
 
 
-class _LogTerm:
-    """Product accumulator in sign/log-magnitude space with a complex phase."""
-
-    __slots__ = ("logmag", "phase")
-
-    def __init__(self):
-        self.logmag = 0.0
-        self.phase = complex(1.0)
-
-    def mul_real(self, sign: float, logmag: float):
-        self.phase *= sign
-        self.logmag += logmag
-
-    def mul_phase(self, phase: complex):
-        self.phase *= phase
-
-    def value(self) -> complex:
-        return self.phase * math.exp(self.logmag)
-
-
-def _gamma_factor_into(term: _LogTerm, arg: float, inverse: bool):
-    s = real_gamma_sign(arg)
-    lg = real_log_abs_gamma(arg)
-    if inverse:
-        term.mul_real(s, -lg)
-    else:
-        term.mul_real(s, lg)
-
-
 def _residue_at_point(f: GammaFraction, point: Sequence[float]) -> complex:
     """Residue of the full integrand at an isolated lattice point (any dim in {1,2}).
 
@@ -370,7 +307,8 @@ def _residue_at_point(f: GammaFraction, point: Sequence[float]) -> complex:
             return complex(0.0)
         sing_den[axis].append((fac, k))
 
-    term = _LogTerm()
+    # the integrand is real on the lattice: accumulate sign and log-magnitude
+    sign, logmag = 1.0, 0.0
     for axis in range(d):
         net = len(sing_num[axis]) - len(sing_den[axis])
         if net <= 0:
@@ -384,24 +322,26 @@ def _residue_at_point(f: GammaFraction, point: Sequence[float]) -> complex:
         carrier, kc = sing_num[axis][0]
         a = carrier.coeffs[axis]
         # residue of Gamma(a z + b) in z at the pole: (-1)^k / (k! a)
-        term.mul_real((-1.0 if kc % 2 else 1.0) * math.copysign(1.0, a),
-                      -math.lgamma(kc + 1) - math.log(abs(a)))
+        sign *= (-1.0 if kc % 2 else 1.0) * math.copysign(1.0, a)
+        logmag += -math.lgamma(kc + 1) - math.log(abs(a))
         for (nf, kn), (df, kd) in zip(sing_num[axis][1:], sing_den[axis]):
             an, ad = nf.coeffs[axis], df.coeffs[axis]
             # exact limit of Gamma(a_n z+b_n)/Gamma(a_d z+b_d) at the shared pole
-            sign = (-1.0 if (kn + kd) % 2 else 1.0) * math.copysign(1.0, an * ad)
-            term.mul_real(sign, math.lgamma(kd + 1) - math.lgamma(kn + 1)
-                          + math.log(abs(ad)) - math.log(abs(an)))
+            sign *= (-1.0 if (kn + kd) % 2 else 1.0) * math.copysign(1.0, an * ad)
+            logmag += (math.lgamma(kd + 1) - math.lgamma(kn + 1)
+                       + math.log(abs(ad)) - math.log(abs(an)))
 
     for fac in regular_num:
-        _gamma_factor_into(term, fac.argument(point), inverse=False)
+        arg = fac.argument(point)
+        sign *= real_gamma_sign(arg)
+        logmag += real_log_abs_gamma(arg)
     for fac in regular_den:
-        _gamma_factor_into(term, fac.argument(point), inverse=True)
+        arg = fac.argument(point)
+        sign *= real_gamma_sign(arg)
+        logmag -= real_log_abs_gamma(arg)
     for p in f.powers:
-        term.mul_real(1.0, p.exponent(point) * math.log(p.base))
-    if f.sign_factor is not None:
-        term.mul_phase(f.sign_factor.phase(point))
-    return complex(f.constant) * term.value()
+        logmag += p.exponent(point) * math.log(p.base)
+    return complex(f.constant) * (sign * math.exp(logmag))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +349,7 @@ def _residue_at_point(f: GammaFraction, point: Sequence[float]) -> complex:
 # ---------------------------------------------------------------------------
 
 def enumerate_poles_1d(f: GammaFraction, direction: Direction, max_index: int,
-                       contour: Optional[Contour] = None) -> list:
+                       contour: Contour) -> list:
     """Candidate poles on one side of the contour, as (location, net order) pairs.
 
     Net order = numerator multiplicity - denominator multiplicity; cancelled
@@ -419,9 +359,8 @@ def enumerate_poles_1d(f: GammaFraction, direction: Direction, max_index: int,
         raise ValueError("enumerate_poles_1d applies to one-dimensional fractions")
     if direction not in (Direction.LEFT, Direction.RIGHT):
         raise ValueError("direction must be LEFT or RIGHT")
-    gamma = contour.gamma[0] if contour is not None else 0.0
     out = []
-    for loc in _candidate_locations_1d(f, 0, gamma, direction, max_index):
+    for loc in _candidate_locations_1d(f, 0, contour.gamma[0], direction, max_index):
         nm = sum(1 for fac in f.numerator if _pole_index(fac.argument((loc,))) is not None)
         dm = sum(1 for fac in f.denominator if _pole_index(fac.argument((loc,))) is not None)
         order = nm - dm
@@ -429,19 +368,6 @@ def enumerate_poles_1d(f: GammaFraction, direction: Direction, max_index: int,
             raise PoleOrderError(f"coincident numerator poles at {loc} (net order {order})")
         out.append((loc, max(order, 0)))
     return out
-
-
-def residue_1d(f: GammaFraction, pole: float) -> complex:
-    """Residue of the full integrand at a simple pole."""
-    if f.dim != 1:
-        raise ValueError("residue_1d applies to one-dimensional fractions")
-    res = _residue_at_point(f, (pole,))
-    if res == 0.0:
-        # distinguish "cancelled" (fine, zero) from "not a pole at all"
-        nm = sum(1 for fac in f.numerator if _pole_index(fac.argument((pole,))) is not None)
-        if nm == 0:
-            raise ValueError(f"{pole} is not a pole of the numerator")
-    return res
 
 
 def sum_residues_1d(f: GammaFraction, contour: Contour, direction: Direction,
@@ -458,6 +384,7 @@ def sum_residues_1d(f: GammaFraction, contour: Contour, direction: Direction,
         raise ValueError("sum_residues_1d applies to one-dimensional fractions")
     if direction not in (Direction.LEFT, Direction.RIGHT):
         raise ValueError("summation direction must be LEFT or RIGHT")
+    require_positive("tol and max_terms", tol, max_terms)
     locs = _candidate_locations_1d(f, 0, contour.gamma[0], direction, max_terms + 8)
     orient = 1.0 if direction is Direction.LEFT else -1.0
     out_of_budget = False
@@ -509,32 +436,18 @@ def compatible_cone_2d(f: GammaFraction, contour: Contour) -> Cone:
     delta = delta_vector(f)
     faces = []
     for j in range(2):
-        if delta[j] > _DELTA_TOL:
-            faces.append(Direction.LEFT)
-        elif delta[j] < -_DELTA_TOL:
-            faces.append(Direction.RIGHT)
-        else:
+        side = select_half_plane(delta[j])
+        if side is Direction.BOTH:
             # free face: prefer the side where this variable's pole families live
-            sides = set()
-            for fac in f.numerator:
-                if _axis_of(fac) == j:
-                    sides.add(Direction.LEFT if fac.coeffs[j] > 0 else Direction.RIGHT)
-            faces.append(sides.pop() if len(sides) == 1 else Direction.LEFT)
+            sides = {Direction.LEFT if fac.coeffs[j] > 0 else Direction.RIGHT
+                     for fac in f.numerator if _axis_of(fac) == j}
+            side = sides.pop() if len(sides) == 1 else Direction.LEFT
+        faces.append(side)
     return Cone(faces=tuple(faces))
 
 
-def grothendieck_residue_2d(f: GammaFraction, point: Sequence[float]) -> complex:
-    """Grothendieck residue at a transverse intersection of two order-1 divisor
-    families (one per variable); 0 at cancelled points."""
-    if f.dim != 2:
-        raise ValueError("grothendieck_residue_2d applies to two-dimensional fractions")
-    pt = tuple(float(x) for x in point)
-    return _residue_at_point(f, pt)
-
-
 def sum_residues_2d(f: GammaFraction, contour: Contour, cone: Cone,
-                    tol: float = 1e-12, max_shells: int = 400,
-                    early_divergence_exit: bool = True) -> ResidueSeriesResult:
+                    tol: float = 1e-12, max_shells: int = 400) -> ResidueSeriesResult:
     """Grothendieck-residue series over the divisor-intersection lattice inside
     the cone, enumerated by anti-diagonal shells k1+k2 = const (increasing k1
     within a shell), with the module-wide stopping rule.
@@ -543,6 +456,7 @@ def sum_residues_2d(f: GammaFraction, contour: Contour, cone: Cone,
     """
     if f.dim != 2 or contour.dim != 2:
         raise ValueError("sum_residues_2d applies to two-dimensional fractions")
+    require_positive("tol and max_shells", tol, max_shells)
     locs = [
         _candidate_locations_1d(f, 0, contour.gamma[0], cone.faces[0], max_shells + 8),
         _candidate_locations_1d(f, 1, contour.gamma[1], cone.faces[1], max_shells + 8),
@@ -568,8 +482,7 @@ def sum_residues_2d(f: GammaFraction, contour: Contour, cone: Cone,
                     pairs.append(((k1, k2), orient * term))
             yield shell, pairs
 
-    s = sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit,
-                   start=complex(0.0))
+    s = sum_shells(shells(), tol, start=complex(0.0))
     if (s.exhausted and shell_cap == n1 + n2 - 1
             and _side_is_finite(f, 0, cone.faces[0]) and _side_is_finite(f, 1, cone.faces[1])):
         # the whole (finite) intersection lattice has been summed

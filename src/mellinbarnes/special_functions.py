@@ -15,6 +15,7 @@ __all__ = [
     "real_gamma_sign",
     "is_nonpositive_integer",
     "require_finite",
+    "require_positive",
 ]
 
 POLE_TOL = 1e-12
@@ -24,12 +25,12 @@ class PoleError(ValueError):
     """Raised when a function is evaluated at (or within tolerance of) a pole."""
 
 
-def is_nonpositive_integer(x: float, tol: float = POLE_TOL) -> bool:
-    """True when x is within tol of an integer <= 0."""
+def is_nonpositive_integer(x: float) -> bool:
+    """True when x is within POLE_TOL of an integer <= 0."""
     if x > 0.5:
         return False
     n = round(x)
-    return n <= 0 and abs(x - n) <= tol
+    return n <= 0 and abs(x - n) <= POLE_TOL
 
 
 def normal_cdf(u: float) -> float:
@@ -63,3 +64,11 @@ def require_finite(what: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"{what} must be finite, got {v}")
+
+
+def require_positive(what: str, *values: float) -> None:
+    """Raise ValueError, naming `what`, unless every value is finite and > 0
+    (for an integer budget: at least 1)."""
+    for v in values:
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{what} must be finite and positive, got {v}")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mellinbarnes._summation import sum_shells
+from mellinbarnes.fractional_green import FractionalDiffusionParams, green_fraction
 from mellinbarnes.mellin_core import (
     Cone,
     Contour,
@@ -16,9 +17,8 @@ from mellinbarnes.mellin_core import (
     PowerFactor,
     compatible_cone_2d,
     delta_vector,
+    _residue_at_point,
     enumerate_poles_1d,
-    grothendieck_residue_2d,
-    residue_1d,
     select_half_plane,
     sum_residues_1d,
     sum_residues_2d,
@@ -65,10 +65,9 @@ def test_delta_vector_examples():
 
 
 def test_select_half_plane():
-    c = Contour((0.5,))
-    assert select_half_plane(1.0, c) is Direction.LEFT
-    assert select_half_plane(-1.0, c) is Direction.RIGHT
-    assert select_half_plane(0.0, c) is Direction.BOTH
+    assert select_half_plane(1.0) is Direction.LEFT
+    assert select_half_plane(-1.0) is Direction.RIGHT
+    assert select_half_plane(0.0) is Direction.BOTH
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +117,8 @@ def test_residue_gamma_taylor_terms():
     for x in (0.3, 1.0, 2.5):
         for n in range(6):
             want = (-1.0) ** n / math.factorial(n) * x**n
-            assert complex(residue_1d(gamma_z(x), -float(n))).real == pytest.approx(want, rel=1e-13)
+            got = complex(_residue_at_point(gamma_z(x), (-float(n),))).real
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_residue_beta_right_side():
@@ -127,11 +127,60 @@ def test_residue_beta_right_side():
     x = 4.0
     for n in range(5):
         want = -((-1.0) ** n) * x ** (-(1 + n))
-        assert complex(residue_1d(beta_z(x), float(n + 1))).real == pytest.approx(want, rel=1e-13)
+        got = complex(_residue_at_point(beta_z(x), (float(n + 1),))).real
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_residue_first_taylor_term():
-    assert complex(residue_1d(gamma_z(1.0), 0.0)).real == pytest.approx(1.0, abs=1e-15)
+    assert complex(_residue_at_point(gamma_z(1.0), (0.0,))).real == pytest.approx(1.0, abs=1e-15)
+
+
+# float.hex of residues at lattice points, recorded while residues were still
+# accumulated with a complex phase; a rewrite of the residue engine must keep
+# these bits exactly
+
+# stable alpha=1.3, theta=0.3 Green fraction at u=0.8: the first 20 non-zero
+# right-side poles (t=13 is cancelled), as (t, residue)
+GREEN_RESIDUE_BITS = [
+    (1, "-0x1.24bc50fb7715ep-2"), (2, "0x1.eb6670fc59e09p-4"),
+    (3, "0x1.6b9f18ff976fep-5"), (4, "-0x1.7bddc8bbffb70p-5"),
+    (5, "0x1.524155d6ada5bp-8"), (6, "0x1.00736d525ca16p-7"),
+    (7, "-0x1.b343a4b2d4ddfp-9"), (8, "-0x1.9fba35c5a2db8p-12"),
+    (9, "0x1.57f3988b974f9p-11"), (10, "-0x1.f4d6ec2ffcd47p-14"),
+    (11, "-0x1.0f8802e221a97p-14"), (12, "0x1.1ce5eb81962aap-15"),
+    (14, "-0x1.2a440bd2f8562p-18"), (15, "0x1.2a6d96d80c5aep-20"),
+    (16, "0x1.228cf038eeff0p-22"), (17, "-0x1.a8f348778596bp-23"),
+    (18, "0x1.14c8da8070672p-26"), (19, "0x1.3d5d8bca99d02p-26"),
+    (20, "-0x1.a22915783f465p-28"), (21, "-0x1.3cc1b2bb3f23ap-31"),
+]
+
+# e^{-2} = exp2d(1, 1) at the points (-n, -m), 0 <= n, m < 6
+EXP2D_RESIDUE_BITS = [
+    ("0x1.0000000000000p+0", "-0x1.0000000000000p+0", "0x1.0000000000002p-1",
+     "-0x1.5555555555553p-3", "0x1.555555555555ap-5", "-0x1.111111111110ep-7"),
+    ("-0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.0000000000002p-1",
+     "0x1.5555555555553p-3", "-0x1.555555555555ap-5", "0x1.111111111110ep-7"),
+    ("0x1.0000000000002p-1", "-0x1.0000000000002p-1", "0x1.0000000000003p-2",
+     "-0x1.5555555555555p-4", "0x1.555555555555cp-6", "-0x1.111111111110dp-8"),
+    ("-0x1.5555555555553p-3", "0x1.5555555555553p-3", "-0x1.5555555555555p-4",
+     "0x1.c71c71c71c716p-6", "-0x1.c71c71c71c723p-8", "0x1.6c16c16c16c10p-10"),
+    ("0x1.555555555555ap-5", "-0x1.555555555555ap-5", "0x1.555555555555cp-6",
+     "-0x1.c71c71c71c723p-8", "0x1.c71c71c71c729p-10", "-0x1.6c16c16c16c14p-12"),
+    ("-0x1.111111111110ep-7", "0x1.111111111110ep-7", "-0x1.111111111110dp-8",
+     "0x1.6c16c16c16c10p-10", "-0x1.6c16c16c16c14p-12", "0x1.23456789abcd8p-14"),
+]
+
+
+def test_residue_bits_are_pinned():
+    f = green_fraction(FractionalDiffusionParams(1.3, 1.0, 0.3, 1.0), 0.8)
+    got = [(t, complex(_residue_at_point(f, (float(t),))).real.hex())
+           for t in range(1, 22) if t != 13]
+    assert got == GREEN_RESIDUE_BITS
+    assert _residue_at_point(f, (13.0,)) == 0.0
+    g = exp2d(1.0, 1.0)
+    got = [tuple(complex(_residue_at_point(g, (-float(n), -float(m)))).real.hex()
+                 for m in range(6)) for n in range(6)]
+    assert got == EXP2D_RESIDUE_BITS
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +253,7 @@ def test_finite_side_sum_is_complete():
                       powers=(PowerFactor(2.0, (-1.0,), 0.0),))
     res = sum_residues_1d(f, Contour((10.0,)), Direction.LEFT, tol=1e-15, max_terms=50)
     assert res.converged and res.terms_used == 7 and res.last_shell_magnitude == 0.0
-    manual = sum(complex(residue_1d(f, float(z))).real for z in range(3, 10))
+    manual = sum(complex(_residue_at_point(f, (float(z),))).real for z in range(3, 10))
     assert complex(res.value).real == pytest.approx(manual, rel=1e-13)
 
 
@@ -271,11 +320,6 @@ def test_sum_1d_rejects_both_direction():
         sum_residues_1d(beta_z(0.5), Contour((0.5,)), Direction.BOTH)
 
 
-def test_residue_1d_not_a_pole():
-    with pytest.raises(ValueError):
-        residue_1d(gamma_z(1.0), 0.5)
-
-
 def test_cone_diagonal_numerator_rejected():
     f = GammaFraction(numerator=(GammaLinearFactor((0.5, 0.5), 0.0),),
                       powers=(PowerFactor(1.0, (-1.0, 0.0), 0.0),))
@@ -297,7 +341,7 @@ def test_grothendieck_scaled_gammas():
     for n in range(3):
         for m in range(3):
             want = (1.0 / (a * b)) * (-1.0) ** (n + m) / (math.factorial(n) * math.factorial(m))
-            got = complex(grothendieck_residue_2d(f, (-n / a, -m / b))).real
+            got = complex(_residue_at_point(f, (-n / a, -m / b))).real
             assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -307,7 +351,7 @@ def test_grothendieck_taylor_2d():
     for n in range(4):
         for m in range(4):
             want = (-1.0) ** (n + m) * x1**n * x2**m / (math.factorial(n) * math.factorial(m))
-            got = complex(grothendieck_residue_2d(f, (-float(n), -float(m)))).real
+            got = complex(_residue_at_point(f, (-float(n), -float(m)))).real
             assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -316,7 +360,7 @@ def test_grothendieck_cancelled_point_zero():
                                  GammaLinearFactor((0.0, 1.0), 0.0)),
                       denominator=(GammaLinearFactor((1.0, 0.0), 0.0),),
                       powers=(PowerFactor(1.0, (-1.0, 0.0), 0.0),))
-    assert grothendieck_residue_2d(f, (-1.0, -1.0)) == 0.0
+    assert _residue_at_point(f, (-1.0, -1.0)) == 0.0
 
 
 def test_grothendieck_swap_symmetry():
@@ -325,8 +369,8 @@ def test_grothendieck_swap_symmetry():
     g = exp2d(x2, x1)
     for n in range(3):
         for m in range(3):
-            a = complex(grothendieck_residue_2d(f, (-float(n), -float(m))))
-            b = complex(grothendieck_residue_2d(g, (-float(m), -float(n))))
+            a = complex(_residue_at_point(f, (-float(n), -float(m))))
+            b = complex(_residue_at_point(g, (-float(m), -float(n))))
             assert a.real == pytest.approx(b.real, rel=1e-14)
 
 
@@ -375,30 +419,6 @@ def test_sum_2d_converged_stable_under_doubling():
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
-
-def test_sign_factor_parity_at_integer_lattice():
-    # (-1)^{-z} at the integer pole lattice reduces to an exact parity sign
-    from mellinbarnes.mellin_core import SignFactor
-    f = GammaFraction(numerator=(GammaLinearFactor((1.0,), 0.0),),
-                      powers=(PowerFactor(2.0, (-1.0,), 0.0),),
-                      sign_factor=SignFactor((-1.0,), 0.0))
-    for n in range(5):
-        plain = complex(residue_1d(gamma_z(2.0), -float(n)))
-        signed = complex(residue_1d(f, -float(n)))
-        assert signed == pytest.approx(plain * (-1.0) ** n, rel=1e-14)
-    # summing (-1)^{-z} Gamma(z) x^{-z} left gives sum x^n/n! = e^{+x}
-    res = sum_residues_1d(f, Contour((1.0,)), Direction.LEFT, tol=1e-14)
-    assert complex(res.value).real == pytest.approx(math.exp(2.0), rel=1e-12)
-
-
-def test_sign_factor_phase_off_lattice():
-    from mellinbarnes.mellin_core import SignFactor
-    sf = SignFactor((1.0,), 0.25)
-    ph = sf.phase((0.0,))
-    assert ph == pytest.approx(complex(math.cos(math.pi * 0.25), math.sin(math.pi * 0.25)))
-    # within 1e-9 of an integer exponent: exact sign
-    assert SignFactor((1.0,), 0.0).phase((3.0 + 5e-10,)) == complex(-1.0)
-
 
 def test_zero_coefficient_factor_rejected():
     with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
-"""Non-finite input is rejected with ValueError at every public entry point,
-and with exit code 2 by the CLI."""
+"""Non-finite input, and a tolerance or term budget that is not positive, is
+rejected with ValueError at every public entry point, and with exit code 2 by
+the CLI."""
 
 import math
 
 import pytest
 
-from mellinbarnes.bs_pricer import OptionContract
+from mellinbarnes.bs_pricer import OptionContract, bs_series, heat_kernel
 from mellinbarnes.cli import main
 from mellinbarnes.fractional_green import FractionalDiffusionParams, green_fractional_series
 from mellinbarnes.laplace_american import (
@@ -13,6 +14,7 @@ from mellinbarnes.laplace_american import (
     LaplaceSymbol,
     american_kernel_oracle,
     american_kernel_series,
+    boundary_symbol,
     exercise_boundary,
     f_power,
     f_shifted,
@@ -22,11 +24,36 @@ from mellinbarnes.laplace_american import (
     talbot_inverse,
     vertical_inverse,
 )
-from mellinbarnes.mellin_core import Contour, GammaLinearFactor, PowerFactor
+from mellinbarnes.mellin_core import (
+    Contour,
+    Direction,
+    GammaFraction,
+    GammaLinearFactor,
+    PowerFactor,
+    compatible_cone_2d,
+    sum_residues_1d,
+    sum_residues_2d,
+)
 
 NAN, INF = math.nan, math.inf
 CONSTS = AmericanConstants.from_rates(0.1, 0.3)
 GAUSS = FractionalDiffusionParams(alpha=2.0, gamma_t=1.0, theta=0.0, mu=0.5)
+CONTRACT = OptionContract(3700.0, 4000.0, 1.0, 0.01, 0.25)
+EXP = GammaFraction(numerator=(GammaLinearFactor((1.0,), 0.0),),
+                    powers=(PowerFactor(1.0, (-1.0,), 0.0),))
+EXP2D = GammaFraction(
+    numerator=(GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1.0), 0.0)),
+    powers=(PowerFactor(1.0, (-1.0, 0.0), 0.0), PowerFactor(1.0, (0.0, -1.0), 0.0)))
+C1, C2 = Contour((1.0,)), Contour((1.0, 1.0))
+
+
+def _sum_1d(**kw):
+    return sum_residues_1d(EXP, C1, Direction.LEFT, **kw)
+
+
+def _sum_2d(**kw):
+    return sum_residues_2d(EXP2D, C2, compatible_cone_2d(EXP2D, C2), **kw)
+
 
 ENTRY_POINTS = {
     "contract_rate_nan": lambda: OptionContract(100.0, 100.0, 1.0, NAN, 0.2),
@@ -55,6 +82,23 @@ ENTRY_POINTS = {
     "green_t_inf": lambda: green_fractional_series(0.5, INF, GAUSS),
     "green_params_theta_nan": lambda: FractionalDiffusionParams(1.5, 1.0, NAN, 1.0),
     "green_params_mu_inf": lambda: FractionalDiffusionParams(1.5, 1.0, 0.0, INF),
+    "heat_kernel_y_nan": lambda: heat_kernel(NAN, 1.0, 1.0),
+    # tolerances must be finite and positive, term budgets at least 1
+    "sum_1d_tol_nan": lambda: _sum_1d(tol=NAN),
+    "sum_1d_tol_zero": lambda: _sum_1d(tol=0.0),
+    "sum_1d_max_terms_negative": lambda: _sum_1d(max_terms=-3),
+    "sum_2d_tol_inf": lambda: _sum_2d(tol=INF),
+    "sum_2d_max_shells_zero": lambda: _sum_2d(max_shells=0),
+    "bs_series_tol_negative": lambda: bs_series(CONTRACT, tol=-1.0),
+    "bs_series_max_shells_zero": lambda: bs_series(CONTRACT, max_shells=0),
+    "kernel_series_tol_nan": lambda: american_kernel_series(2, 1, 0.5, CONSTS, tol=NAN),
+    "kernel_series_max_shells_zero": lambda: american_kernel_series(2, 1, 0.5, CONSTS,
+                                                                    max_shells=0),
+    "inverse_laplace_tol_nan": lambda: inverse_laplace(boundary_symbol(0.1, 0.3), 0.5, tol=NAN),
+    "boundary_tol_zero": lambda: exercise_boundary(0.5, 0.1, 0.3, tol=0.0),
+    "green_tol_nan": lambda: green_fractional_series(0.5, 1.0, GAUSS, tol=NAN),
+    "green_max_terms_zero": lambda: green_fractional_series(0.5, 1.0, GAUSS, max_terms=0),
+    "vertical_panels_zero": lambda: vertical_inverse(lambda p: 1 / p, 1.0, mu=1.0, panels=0),
 }
 
 
