@@ -9,14 +9,19 @@ mpmath.MPContext, so concurrent callers cannot perturb each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-__all__ = ["KahanSum", "SeriesStopper", "Shell", "ShellSum", "sum_shells"]
+__all__ = ["ConvergenceError", "KahanSum", "SeriesStopper", "Shell", "ResidueSeriesResult",
+           "sum_shells"]
+
+
+class ConvergenceError(ArithmeticError):
+    """The residue series did not converge at the requested point."""
 
 
 class KahanSum:
-    """Kahan-compensated accumulator; works for float or complex terms."""
+    """Kahan-compensated accumulator of floats (or of mpmath reals)."""
 
     __slots__ = ("value", "_comp")
 
@@ -87,41 +92,38 @@ class Shell(NamedTuple):
 
     label: object
     terms: list
-    shell_sum: object
-    partial: object
+    shell_sum: float
+    partial: float
 
 
 @dataclass
-class ShellSum:
-    """Outcome of sum_shells.  `exhausted` is True when the shell iterator ran
-    dry before the stopping rule fired; `max_term` is the largest term
-    magnitude (start value included), the numerator of the condition estimate."""
+class ResidueSeriesResult:
+    """A summed series.  `exhausted` is True when the shell iterator ran dry
+    before the stopping rule fired; `max_term` is the largest term magnitude
+    (start value included), the numerator of the condition estimate
+    max_term / |value|; `record` holds the summed shells."""
 
-    value: object
+    value: float
     terms_used: int
     last_shell_magnitude: float
     converged: bool
-    exhausted: bool
-    max_term: float
-    record: list
+    exhausted: bool = False
+    max_term: float = 0.0
+    record: list = field(default_factory=list)
 
-
-def _plain(x):
-    """x as a Python float, or a Python complex when its imaginary part is non-zero."""
-    if x.imag:
-        return complex(x)
-    return float(x.real)
+    def real_value(self) -> float:
+        return self.value
 
 
 def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
-               start=0.0) -> ShellSum:
+               start=0.0) -> ResidueSeriesResult:
     """Sum an iterator of (label, [(key, term), ...]) shells in order.
 
     The non-zero terms are added to `start` with compensated summation; a
     shell with no non-zero term is skipped and never reaches the stopping
     rule.  Every other shell feeds the sum of its term magnitudes to one
-    SeriesStopper.  The record keeps each summed shell, numbers as Python
-    floats (complex where the imaginary part is non-zero).
+    SeriesStopper.  Terms may be floats or mpmath reals; the value, the
+    magnitudes and the record's numbers are returned as Python floats.
     """
     acc = KahanSum(start)
     stopper = SeriesStopper(tol, abort_on_divergence=abort_on_divergence)
@@ -142,13 +144,13 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
             mag += a
             if a > max_term:
                 max_term = a
-            terms.append((key, _plain(t)))
+            terms.append((key, float(t)))
         if not terms:
             continue
         used += len(terms)
         last = float(mag)
-        record.append(Shell(label, terms, _plain(shell_sum), _plain(acc.value)))
+        record.append(Shell(label, terms, float(shell_sum), float(acc.value)))
         if stopper.update(last, float(abs(acc.value))):
-            return ShellSum(acc.value, used, last, stopper.converged, False,
-                            float(max_term), record)
-    return ShellSum(acc.value, used, last, False, True, float(max_term), record)
+            return ResidueSeriesResult(float(acc.value), used, last, stopper.converged, False,
+                                       float(max_term), record)
+    return ResidueSeriesResult(float(acc.value), used, last, False, True, float(max_term), record)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from ._summation import ShellSum, sum_shells
+from ._summation import ConvergenceError, sum_shells
 from .mellin_core import (
     Contour,
     GammaFraction,
@@ -122,7 +122,7 @@ def bs_series_term(n: int, m: int, c: OptionContract) -> float:
     return _INV_SQRT_2PI * sign * math.exp(coef_log) * strike_part
 
 
-def _series_sum(c: OptionContract, tol: float, max_shells: int, ctx) -> ShellSum:
+def _series_sum(c: OptionContract, tol: float, max_shells: int, ctx) -> ResidueSeriesResult:
     """Forward term plus the first max_shells anti-diagonal shells n + m = s of
     the residue lattice, in the arithmetic of the mpmath context ctx
     (mpmath.fp for double precision).
@@ -171,7 +171,7 @@ def _series_sum(c: OptionContract, tol: float, max_shells: int, ctx) -> ShellSum
     return sum_shells(shells(), tol, abort_on_divergence=False, start=(S - Kd) / 2)
 
 
-def _series_sum_mp(c: OptionContract, tol: float, max_shells: int, dps: int) -> ShellSum:
+def _series_sum_mp(c: OptionContract, tol: float, max_shells: int, dps: int) -> ResidueSeriesResult:
     """The identical shell summation in a private mpmath context at dps digits."""
     ctx = mpmath.MPContext()
     ctx.dps = dps
@@ -193,9 +193,7 @@ def bs_series(c: OptionContract, tol: float = 1e-10, max_shells: int = 200) -> R
     elif cond * 5e-16 > 0.1 * tol:
         # roundoff floor of the double pass: term rounding scaled by the condition number
         s = _series_sum_mp(c, tol, max_shells, 25 + int(math.log10(cond)))
-    return ResidueSeriesResult(value=float(s.value), terms_used=s.terms_used,
-                               last_shell_magnitude=s.last_shell_magnitude,
-                               converged=s.converged, record=s.record)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +224,8 @@ def heat_kernel_mb(y: float, tau: float, sigma: float, tol: float = 1e-12,
                    max_terms: int = 400) -> float:
     """Heat kernel via right-half-plane residue summation of its Mellin-Barnes
     representation; only the odd poles of Gamma(1-t) survive the Gamma(1-t/2)
-    cancellation."""
+    cancellation.  Raises ConvergenceError when the series does not converge
+    within max_terms."""
     if y == 0.0:
         raise ValueError("heat_kernel_mb: y = 0 is outside the domain (1/y prefactor)")
     if y < 0.0 or tau <= 0.0 or sigma <= 0.0:
@@ -235,4 +234,6 @@ def heat_kernel_mb(y: float, tau: float, sigma: float, tol: float = 1e-12,
     contour = Contour((0.5,))
     direction = select_half_plane(delta_vector(f)[0])
     res = sum_residues_1d(f, contour, direction, tol=tol, max_terms=max_terms)
-    return res.real_value() / (2.0 * y)
+    if not res.converged:
+        raise ConvergenceError(f"heat_kernel_mb not converged at y={y}, tau={tau}, sigma={sigma}")
+    return res.value / (2.0 * y)

@@ -176,11 +176,12 @@ def _coerce(key: str, val):
 
 
 def _merge_options(args: argparse.Namespace, needed: list) -> dict:
-    """flags > config file > defaults; missing required keys are usage errors."""
+    """flags > config file > defaults; missing required keys are usage errors.
+    Commands that sum a series list "max_terms"; the library validates it and tol."""
     given = vars(args)
     config = _read_config(given.get("config"))
     out: dict = {}
-    for key in needed + ["tol", "max_terms", "format", "out"]:
+    for key in needed + ["tol", "format", "out"]:
         if key in given and given[key] is not None:
             out[key] = _coerce(key, given[key])
         elif key in config:
@@ -193,10 +194,6 @@ def _merge_options(args: argparse.Namespace, needed: list) -> dict:
             raise ValueError(f"--{key.replace('_', '-')} must be finite, got {out[key]}")
     if out["format"] not in ("human", "json", "csv"):
         raise ValueError(f"unknown format {out['format']!r}")
-    if not out["tol"] > 0:
-        raise ValueError("tolerance must be positive")
-    if out["max_terms"] < 1:
-        raise ValueError("max-terms must be >= 1")
     return out
 
 
@@ -205,7 +202,7 @@ def _merge_options(args: argparse.Namespace, needed: list) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_price(args) -> int:
-    opts = _merge_options(args, ["spot", "strike", "tau", "sigma", "rate"])
+    opts = _merge_options(args, ["spot", "strike", "tau", "sigma", "rate", "max_terms"])
     contract = OptionContract(spot=opts["spot"], strike=opts["strike"],
                               tau=opts["tau"], rate=opts["rate"], sigma=opts["sigma"])
     closed = bs_pricer.bs_closed_form(contract)
@@ -232,7 +229,7 @@ def cmd_price(args) -> int:
 
 
 def cmd_green(args) -> int:
-    opts = _merge_options(args, ["alpha", "gamma_t", "theta", "mu", "tau", "x_grid"])
+    opts = _merge_options(args, ["alpha", "gamma_t", "theta", "mu", "tau", "x_grid", "max_terms"])
     params = FractionalDiffusionParams(alpha=opts["alpha"], gamma_t=opts["gamma_t"],
                                        theta=opts["theta"], mu=opts["mu"])
     grid = _parse_grid(opts["x_grid"])
@@ -269,7 +266,7 @@ def cmd_american(args) -> int:
         opts = _merge_options(args, ["rate", "sigma", "tau_grid"])
         grid = _parse_grid(opts["tau_grid"])
         report = _Report("american-boundary",
-                         {k: opts[k] for k in ("rate", "sigma", "tau_grid", "tol", "max_terms")})
+                         {k: opts[k] for k in ("rate", "sigma", "tau_grid", "tol")})
         report.columns = ["tau", "boundary_over_strike", "talbot", "vertical", "agreement", "flag"]
         failures = 0
         for tau in grid:
@@ -286,7 +283,7 @@ def cmd_american(args) -> int:
         return EXIT_NUMERICAL if failures else EXIT_OK
 
     if sub == "kernel":
-        opts = _merge_options(args, ["rate", "sigma", "n", "m", "tau"])
+        opts = _merge_options(args, ["rate", "sigma", "n", "m", "tau", "max_terms"])
         consts = AmericanConstants.from_rates(opts["rate"], opts["sigma"])
         report = _Report("american-kernel",
                          {k: opts[k] for k in ("rate", "sigma", "n", "m", "tau", "tol", "max_terms")})
@@ -330,7 +327,7 @@ def _demo_fraction(kind: str, xs: list) -> tuple:
 
 def cmd_demo(args) -> int:
     kind = args.demo_command
-    opts = _merge_options(args, ["side"] if kind == "beta" else [])
+    opts = _merge_options(args, ["max_terms", "side"] if kind == "beta" else ["max_terms"])
     xvals = [float(v) for v in args.x]
     count = 2 if kind == "exp2d" else 1
     if len(xvals) != count or not all(0 < v < math.inf for v in xvals):
@@ -364,7 +361,6 @@ def cmd_demo(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-terms", dest="max_terms", type=int, default=None)
     p.add_argument("--format", choices=("human", "json", "csv"), default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
@@ -380,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_price = sub.add_parser("price", help="Black-Scholes call: closed form and residue series")
     for flag in ("--spot", "--strike", "--tau", "--sigma", "--rate"):
         p_price.add_argument(flag, type=float, default=None)
+    p_price.add_argument("--max-terms", type=int, default=None)
     _add_common(p_price)
     p_price.set_defaults(func=cmd_price)
 
@@ -387,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--alpha", "--gamma-t", "--theta", "--mu", "--tau"):
         p_green.add_argument(flag, type=float, default=None)
     p_green.add_argument("--x-grid", dest="x_grid", default=None, help="lo:hi:step")
+    p_green.add_argument("--max-terms", type=int, default=None)
     _add_common(p_green)
     p_green.set_defaults(func=cmd_green)
 
@@ -404,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ker.add_argument("--n", type=int, default=None)
     p_ker.add_argument("--m", type=int, default=None)
     p_ker.add_argument("--tau", type=float, default=None)
+    p_ker.add_argument("--max-terms", type=int, default=None)
     _add_common(p_ker)
     p_ker.set_defaults(func=cmd_american)
 
@@ -414,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         pd.add_argument("--x", nargs="+", required=True)
         if name == "beta":
             pd.add_argument("--side", choices=("left", "right"), default=None)
+        pd.add_argument("--max-terms", type=int, default=None)
         _add_common(pd)
         pd.set_defaults(func=cmd_demo)
     return parser

@@ -19,11 +19,12 @@ the Gaussian degeneration) drop out through the denominator multiplicities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._summation import ConvergenceError
 from .mellin_core import (
     Contour,
     Direction,
@@ -48,10 +49,6 @@ __all__ = [
     "esscher_mu_numeric",
     "default_esscher_grid",
 ]
-
-class ConvergenceError(ArithmeticError):
-    """The residue series did not converge at the requested point."""
-
 
 class ExponentialMomentError(ArithmeticError):
     """The exponential moment of the density does not exist."""
@@ -144,9 +141,8 @@ def green_fractional_series(x: float, t: float, p: FractionalDiffusionParams,
     res = sum_residues_1d(frac, contour, _pick_direction(delta, u), tol=tol,
                           max_terms=max_terms, early_divergence_exit=zero_slope)
     pref = 1.0 / (p.alpha * x)
-    return ResidueSeriesResult(value=pref * res.real_value(), terms_used=res.terms_used,
-                               last_shell_magnitude=pref * res.last_shell_magnitude,
-                               converged=res.converged)
+    return replace(res, value=pref * res.value, max_term=pref * res.max_term,
+                   last_shell_magnitude=pref * res.last_shell_magnitude, record=[])
 
 
 def green_fractional(x: float, t: float, p: FractionalDiffusionParams,
@@ -158,7 +154,7 @@ def green_fractional(x: float, t: float, p: FractionalDiffusionParams,
         raise ConvergenceError(
             f"residue series not converged at x={x}, t={t} "
             f"(last contribution {res.last_shell_magnitude:.3e})")
-    return res.real_value()
+    return res.value
 
 
 def green_normalization_check(p: FractionalDiffusionParams, t: float,

@@ -30,7 +30,7 @@ Bromwich oracle, which never uses the algebraic simplification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +38,7 @@ import mpmath
 
 from ._summation import KahanSum, sum_shells
 from .mellin_core import ResidueSeriesResult
-from .special_functions import (PoleError, is_nonpositive_integer, real_gamma_sign, require_finite,
+from .special_functions import (PoleError, pole_index, real_gamma_sign, require_finite,
                                 require_positive)
 
 __all__ = [
@@ -150,7 +150,7 @@ def f_power(x: float, nu: float) -> float:
     require_finite("f_power", x, nu)
     if x <= 0.0:
         raise ValueError("f_power requires x > 0")
-    if is_nonpositive_integer(nu):
+    if pole_index(nu) is not None:
         raise PoleError(f"Gamma pole at nu = {nu}")
     return real_gamma_sign(nu) * math.exp((nu - 1.0) * math.log(x) - math.lgamma(nu))
 
@@ -242,10 +242,12 @@ _BLOCK_NODES = 4096
 # half-period panels of the vertical line
 _PANELS = 160
 
+# trailing partial sums averaged away on the vertical line
+_AVERAGED = 40
+
 
 def vertical_inverse(func: Callable, x: float, mu: float, panels: int = _PANELS,
-                     nodes: int = 24, averaged: int = 40,
-                     symbol_scale: float = 4.0) -> float:
+                     nodes: int = 24, symbol_scale: float = 4.0) -> float:
     """Truncated vertical-line inversion at abscissa mu.
 
     f(x) = (e^{mu x}/pi) * Int_0^Y Re[phi(mu+iy) e^{iyx}] dy, with Y = panels
@@ -253,7 +255,7 @@ def vertical_inverse(func: Callable, x: float, mu: float, panels: int = _PANELS,
     Gauss-Legendre (subdivided so no quadrature cell exceeds symbol_scale,
     which matters when x is small and half-periods are wide compared to the
     symbol's own variation), and the oscillatory truncation tail removed by
-    iterated averaging (Euler transform) of the last `averaged` partial sums.
+    iterated averaging (Euler transform) of the last _AVERAGED partial sums.
 
     The symbol is called on numpy arrays holding whole panels, at most
     _BLOCK_NODES nodes per call (one panel per call if a panel is larger).
@@ -285,7 +287,7 @@ def vertical_inverse(func: Callable, x: float, mu: float, panels: int = _PANELS,
         for s in cells.sum(axis=1).tolist():
             acc.add(s)
             partials.append(acc.value)
-    tail = partials[-averaged:]
+    tail = partials[-_AVERAGED:]
     while len(tail) > 1:
         tail = [0.5 * (tail[i] + tail[i + 1]) for i in range(len(tail) - 1)]
     return math.exp(mu * x) / math.pi * tail[0]
@@ -457,12 +459,15 @@ def american_kernel_series(n: int, m: int, tau: float, c: AmericanConstants,
     sign = -1.0 if m % 2 else 1.0
     ell = n - m
     if ell <= 0:
-        acc = KahanSum(0.0)
         kpow = -ell
-        for j in range(kpow + 1):
-            acc.add(math.comb(kpow, j) * b ** j * _invl_w_pow_over_p(kpow - j, tau, a))
+        terms = [math.comb(kpow, j) * b ** j * _invl_w_pow_over_p(kpow - j, tau, a)
+                 for j in range(kpow + 1)]
+        acc = KahanSum(0.0)
+        for t in terms:
+            acc.add(t)
         return ResidueSeriesResult(value=sign * acc.value, terms_used=kpow + 1,
-                                   last_shell_magnitude=0.0, converged=True)
+                                   last_shell_magnitude=0.0, converged=True, exhausted=True,
+                                   max_term=max(abs(t) for t in terms))
 
     log_b = math.log(abs(b)) if b != 0.0 else None
     neg_b_sign = 1.0 if b <= 0.0 else -1.0  # sign of (-b)
@@ -481,9 +486,7 @@ def american_kernel_series(n: int, m: int, tau: float, c: AmericanConstants,
     s = sum_shells(shells(), tol)
     # b = 0: the single j = 0 term is the whole series, unless the budget cut it off
     complete = b == 0.0 and s.exhausted and s.terms_used < max_shells
-    return ResidueSeriesResult(value=sign * s.value, terms_used=s.terms_used,
-                               last_shell_magnitude=s.last_shell_magnitude,
-                               converged=s.converged or complete)
+    return replace(s, value=sign * s.value, converged=s.converged or complete, record=[])
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ signs multiply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
-from ._summation import ShellSum, sum_shells
-from .special_functions import (real_gamma_sign, real_log_abs_gamma, require_finite,
+from ._summation import ResidueSeriesResult, sum_shells
+from .special_functions import (POLE_TOL, pole_index, real_gamma_sign, require_finite,
                                 require_positive)
 
 __all__ = [
@@ -45,9 +45,6 @@ __all__ = [
     "sum_residues_2d",
 ]
 
-# locations closer than this are treated as the same pole; arguments this close
-# to a nonpositive integer are treated as singular
-LOC_TOL = 1e-9
 _DELTA_TOL = 1e-12
 
 
@@ -124,9 +121,11 @@ class GammaFraction:
     numerator: tuple
     denominator: tuple = ()
     powers: tuple = ()
-    constant: complex = 1.0
+    constant: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "constant", float(self.constant))
+        require_finite("GammaFraction constant", self.constant)
         object.__setattr__(self, "numerator", tuple(self.numerator))
         object.__setattr__(self, "denominator", tuple(self.denominator))
         object.__setattr__(self, "powers", tuple(self.powers))
@@ -172,31 +171,6 @@ class Cone:
         object.__setattr__(self, "faces", faces)
 
 
-@dataclass
-class ResidueSeriesResult:
-    """A summed series; `record` holds its summed shells (see _summation.Shell)."""
-
-    value: complex
-    terms_used: int
-    last_shell_magnitude: float
-    converged: bool
-    record: list = field(default_factory=list)
-
-    def real_value(self) -> float:
-        v = complex(self.value)
-        return v.real
-
-
-def _series_result(s: ShellSum, converged: bool, last: float) -> ResidueSeriesResult:
-    """A residue series result from a sum_shells outcome; real values as float."""
-    value = s.value
-    if value.imag == 0.0:
-        value = value.real
-    return ResidueSeriesResult(value=value, terms_used=s.terms_used,
-                               last_shell_magnitude=last, converged=converged,
-                               record=s.record)
-
-
 def delta_vector(f: GammaFraction) -> tuple:
     """Characteristic vector: sum of numerator slopes minus denominator slopes."""
     d = f.dim
@@ -226,18 +200,10 @@ def _axis_of(fac: GammaLinearFactor) -> Optional[int]:
     return nz[0] if len(nz) == 1 else None
 
 
-def _pole_index(arg: float) -> Optional[int]:
-    """k >= 0 such that arg ~ -k, else None."""
-    k = round(arg)
-    if k <= 0 and abs(arg - k) <= LOC_TOL:
-        return -k
-    return None
-
-
 def _side_of(loc: float, gamma: float) -> Optional[Direction]:
-    if loc < gamma - LOC_TOL:
+    if loc < gamma - POLE_TOL:
         return Direction.LEFT
-    if loc > gamma + LOC_TOL:
+    if loc > gamma + POLE_TOL:
         return Direction.RIGHT
     return None
 
@@ -269,7 +235,7 @@ def _side_is_finite(f: GammaFraction, axis: int, direction: Direction) -> bool:
     return True
 
 
-def _residue_at_point(f: GammaFraction, point: Sequence[float]) -> complex:
+def _residue_at_point(f: GammaFraction, point: Sequence[float]) -> float:
     """Residue of the full integrand at an isolated lattice point (any dim in {1,2}).
 
     Per variable: exactly one net singular numerator factor acts as residue
@@ -283,7 +249,7 @@ def _residue_at_point(f: GammaFraction, point: Sequence[float]) -> complex:
     regular_num = []
     for fac in f.numerator:
         arg = fac.argument(point)
-        k = _pole_index(arg)
+        k = pole_index(arg)
         if k is None:
             regular_num.append(fac)
             continue
@@ -297,14 +263,14 @@ def _residue_at_point(f: GammaFraction, point: Sequence[float]) -> complex:
     regular_den = []
     for fac in f.denominator:
         arg = fac.argument(point)
-        k = _pole_index(arg)
+        k = pole_index(arg)
         if k is None:
             regular_den.append(fac)
             continue
         axis = _axis_of(fac)
         if axis is None:
             # a zero of the full integrand at the lattice point
-            return complex(0.0)
+            return 0.0
         sing_den[axis].append((fac, k))
 
     # the integrand is real on the lattice: accumulate sign and log-magnitude
@@ -312,13 +278,13 @@ def _residue_at_point(f: GammaFraction, point: Sequence[float]) -> complex:
     for axis in range(d):
         net = len(sing_num[axis]) - len(sing_den[axis])
         if net <= 0:
-            return complex(0.0)
+            return 0.0
         if net > 1:
             raise PoleOrderError(
                 f"net pole order {net} in variable {axis} at {tuple(point)}; "
                 "only simple poles are supported")
         if d > 1 and not sing_num[axis]:
-            return complex(0.0)
+            return 0.0
         carrier, kc = sing_num[axis][0]
         a = carrier.coeffs[axis]
         # residue of Gamma(a z + b) in z at the pole: (-1)^k / (k! a)
@@ -334,14 +300,14 @@ def _residue_at_point(f: GammaFraction, point: Sequence[float]) -> complex:
     for fac in regular_num:
         arg = fac.argument(point)
         sign *= real_gamma_sign(arg)
-        logmag += real_log_abs_gamma(arg)
+        logmag += math.lgamma(arg)
     for fac in regular_den:
         arg = fac.argument(point)
         sign *= real_gamma_sign(arg)
-        logmag -= real_log_abs_gamma(arg)
+        logmag -= math.lgamma(arg)
     for p in f.powers:
         logmag += p.exponent(point) * math.log(p.base)
-    return complex(f.constant) * (sign * math.exp(logmag))
+    return f.constant * (sign * math.exp(logmag))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +327,8 @@ def enumerate_poles_1d(f: GammaFraction, direction: Direction, max_index: int,
         raise ValueError("direction must be LEFT or RIGHT")
     out = []
     for loc in _candidate_locations_1d(f, 0, contour.gamma[0], direction, max_index):
-        nm = sum(1 for fac in f.numerator if _pole_index(fac.argument((loc,))) is not None)
-        dm = sum(1 for fac in f.denominator if _pole_index(fac.argument((loc,))) is not None)
+        nm = sum(1 for fac in f.numerator if pole_index(fac.argument((loc,))) is not None)
+        dm = sum(1 for fac in f.denominator if pole_index(fac.argument((loc,))) is not None)
         order = nm - dm
         if order > 1:
             raise PoleOrderError(f"coincident numerator poles at {loc} (net order {order})")
@@ -401,12 +367,11 @@ def sum_residues_1d(f: GammaFraction, contour: Contour, direction: Direction,
                 used += 1
             yield loc, [(loc, orient * term)]
 
-    s = sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit,
-                   start=complex(0.0))
+    s = sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit)
     if s.exhausted and not out_of_budget and _side_is_finite(f, 0, direction):
         # every pole on this side has been summed: the tail is exactly empty
-        return _series_result(s, converged=True, last=0.0)
-    return _series_result(s, s.converged, s.last_shell_magnitude)
+        return replace(s, converged=True, last_shell_magnitude=0.0)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +394,7 @@ def compatible_cone_2d(f: GammaFraction, contour: Contour) -> Cone:
                 "no quadrant cone is compatible - supply a custom cone")
         axis = _axis_of(fac)
         arg = fac.argument(contour.gamma)
-        if _pole_index(arg) is not None:
+        if pole_index(arg) is not None:
             raise ContourOnDivisorError(
                 f"contour lies on a divisor of factor {fac} in variable {axis}")
 
@@ -466,8 +431,8 @@ def sum_residues_2d(f: GammaFraction, contour: Contour, cone: Cone,
         orient *= 1.0 if face is Direction.LEFT else -1.0
 
     if not locs[0] or not locs[1]:
-        return ResidueSeriesResult(value=0.0, terms_used=0,
-                                   last_shell_magnitude=0.0, converged=True)
+        return ResidueSeriesResult(value=0.0, terms_used=0, last_shell_magnitude=0.0,
+                                   converged=True, exhausted=True)
 
     n1, n2 = len(locs[0]), len(locs[1])
     shell_cap = min(max_shells, n1 + n2 - 1)
@@ -482,9 +447,9 @@ def sum_residues_2d(f: GammaFraction, contour: Contour, cone: Cone,
                     pairs.append(((k1, k2), orient * term))
             yield shell, pairs
 
-    s = sum_shells(shells(), tol, start=complex(0.0))
+    s = sum_shells(shells(), tol)
     if (s.exhausted and shell_cap == n1 + n2 - 1
             and _side_is_finite(f, 0, cone.faces[0]) and _side_is_finite(f, 1, cone.faces[1])):
         # the whole (finite) intersection lattice has been summed
-        return _series_result(s, converged=True, last=0.0)
-    return _series_result(s, s.converged, s.last_shell_magnitude)
+        return replace(s, converged=True, last_shell_magnitude=0.0)
+    return s

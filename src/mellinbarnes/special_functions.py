@@ -7,30 +7,31 @@ builds Mellin-Barnes integrands out of these pieces.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 __all__ = [
     "PoleError",
     "normal_cdf",
-    "real_log_abs_gamma",
+    "pole_index",
     "real_gamma_sign",
-    "is_nonpositive_integer",
     "require_finite",
     "require_positive",
 ]
 
-POLE_TOL = 1e-12
+# an argument this close to an integer <= 0 is a Gamma pole: the library's one pole tolerance
+POLE_TOL = 1e-9
 
 
 class PoleError(ValueError):
     """Raised when a function is evaluated at (or within tolerance of) a pole."""
 
 
-def is_nonpositive_integer(x: float) -> bool:
-    """True when x is within POLE_TOL of an integer <= 0."""
-    if x > 0.5:
-        return False
-    n = round(x)
-    return n <= 0 and abs(x - n) <= POLE_TOL
+def pole_index(x: float) -> Optional[int]:
+    """k >= 0 when x is within POLE_TOL of the Gamma pole -k, else None."""
+    k = round(x)
+    if k <= 0 and abs(x - k) <= POLE_TOL:
+        return -k
+    return None
 
 
 def normal_cdf(u: float) -> float:
@@ -41,19 +42,10 @@ def normal_cdf(u: float) -> float:
     return 0.5 * math.erfc(-u / math.sqrt(2.0))
 
 
-def real_log_abs_gamma(x: float) -> float:
-    """log |Gamma(x)| for real non-pole x."""
-    if is_nonpositive_integer(x):
-        raise PoleError(f"Gamma pole at x = {x}")
-    return math.lgamma(x)
-
-
 def real_gamma_sign(x: float) -> float:
-    """Sign of Gamma(x) for real non-pole x."""
+    """Sign of Gamma(x) for real x that pole_index has found not to be a pole."""
     if x > 0.0:
         return 1.0
-    if is_nonpositive_integer(x):
-        raise PoleError(f"Gamma pole at x = {x}")
     # Gamma alternates sign on (-k-1, -k): negative on (-1,0), positive on (-2,-1), ...
     k = math.floor(-x)
     return -1.0 if k % 2 == 0 else 1.0

@@ -16,6 +16,7 @@ from mellinbarnes.bs_pricer import (
     heat_kernel_mb,
     log_moneyness,
 )
+from mellinbarnes.fractional_green import ConvergenceError
 
 REFERENCE_CONTRACT = OptionContract(spot=3700.0, strike=4000.0, tau=1.0, rate=0.01, sigma=0.25)
 
@@ -182,6 +183,16 @@ def test_deep_otm_escalated_precision_and_determinism():
     assert r1.value == r2.value  # bit-identical reruns
 
 
+def test_max_term_is_the_escalation_condition_numerator():
+    # bs_series escalates when max_term / |value| * 5e-16 > 0.1 * tol
+    c = OptionContract(spot=60.0, strike=100.0, tau=1.0, rate=0.0, sigma=0.1)
+    tol = 1e-9 * bs_closed_form(c)
+    res = bs_series(c, tol=tol)
+    assert res.max_term * 5e-16 > 0.1 * tol * abs(res.value)
+    ref = bs_series(REFERENCE_CONTRACT, tol=1e-10)
+    assert not ref.max_term * 5e-16 > 0.1 * 1e-10 * abs(ref.value)
+
+
 # ---------------------------------------------------------------------------
 # heat kernel
 # ---------------------------------------------------------------------------
@@ -200,6 +211,13 @@ def test_heat_kernel_mb_matches_gaussian():
     # equivalent scalings (Legendre-duplication route) hit the same oracle
     for (y, tau, sigma) in [(0.7, 0.25, 2.0), (1.3, 4.0, 0.3), (2.0, 1.0, 1.0)]:
         assert heat_kernel_mb(y, tau, sigma) == pytest.approx(heat_kernel(y, tau, sigma), rel=1e-10)
+
+
+def test_heat_kernel_mb_raises_when_the_series_does_not_converge():
+    # u = 5 sqrt(2): the right sum grows until the divergence exit fires after
+    # 11 terms, at a partial sum of about 5572.5 where the density is 1.49e-6
+    with pytest.raises(ConvergenceError):
+        heat_kernel_mb(5.0, 1.0, 1.0)
 
 
 def test_heat_kernel_mb_domain_error():

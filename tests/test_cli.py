@@ -188,6 +188,17 @@ def test_demo_exp2d(capsys):
     assert f"reference = {math.exp(-2.0):.17g}"[:22] in out
 
 
+def test_max_terms_only_for_commands_with_a_term_budget(capsys):
+    boundary = ["american", "boundary", "--rate", "0.1", "--sigma", "0.3",
+                "--tau-grid", "0.5:0.5:0.1", "--format", "json"]
+    code, out, _ = run_cli(capsys, *boundary)
+    assert code == 0 and "max_terms" not in json.loads(out)["params"]
+    code, out, err = run_cli(capsys, *boundary, "--max-terms", "5")
+    assert code == 2 and out == "" and "--max-terms" in err
+    code, out, err = run_cli(capsys, "demo", "exp", "--x", "1", "--max-terms", "0")
+    assert code == 2 and out == "" and "max_terms must be finite and positive" in err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("spot = 3700\nstrike = 4000\ntau = 1\nsigma = 0.25\nrate = 0.01\n"

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mellinbarnes._summation import sum_shells
-from mellinbarnes.fractional_green import FractionalDiffusionParams, green_fraction
+from mellinbarnes.bs_pricer import OptionContract, bs_series
+from mellinbarnes.fractional_green import (FractionalDiffusionParams, green_fraction,
+                                           green_fractional_series)
+from mellinbarnes.laplace_american import AmericanConstants, american_kernel_series
 from mellinbarnes.mellin_core import (
     Cone,
     Contour,
@@ -117,7 +120,7 @@ def test_residue_gamma_taylor_terms():
     for x in (0.3, 1.0, 2.5):
         for n in range(6):
             want = (-1.0) ** n / math.factorial(n) * x**n
-            got = complex(_residue_at_point(gamma_z(x), (-float(n),))).real
+            got = _residue_at_point(gamma_z(x), (-float(n),))
             assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -127,12 +130,12 @@ def test_residue_beta_right_side():
     x = 4.0
     for n in range(5):
         want = -((-1.0) ** n) * x ** (-(1 + n))
-        got = complex(_residue_at_point(beta_z(x), (float(n + 1),))).real
+        got = _residue_at_point(beta_z(x), (float(n + 1),))
         assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_residue_first_taylor_term():
-    assert complex(_residue_at_point(gamma_z(1.0), (0.0,))).real == pytest.approx(1.0, abs=1e-15)
+    assert _residue_at_point(gamma_z(1.0), (0.0,)) == pytest.approx(1.0, abs=1e-15)
 
 
 # float.hex of residues at lattice points, recorded while residues were still
@@ -173,12 +176,12 @@ EXP2D_RESIDUE_BITS = [
 
 def test_residue_bits_are_pinned():
     f = green_fraction(FractionalDiffusionParams(1.3, 1.0, 0.3, 1.0), 0.8)
-    got = [(t, complex(_residue_at_point(f, (float(t),))).real.hex())
+    got = [(t, _residue_at_point(f, (float(t),)).hex())
            for t in range(1, 22) if t != 13]
     assert got == GREEN_RESIDUE_BITS
     assert _residue_at_point(f, (13.0,)) == 0.0
     g = exp2d(1.0, 1.0)
-    got = [tuple(complex(_residue_at_point(g, (-float(n), -float(m)))).real.hex()
+    got = [tuple(_residue_at_point(g, (-float(n), -float(m))).hex()
                  for m in range(6)) for n in range(6)]
     assert got == EXP2D_RESIDUE_BITS
 
@@ -200,6 +203,28 @@ def test_sum_shells_skips_shells_without_nonzero_terms():
     assert (s.terms_used, s.exhausted, s.converged, s.record) == (0, True, False, [])
     s = sum_shells(iter([(k, [(k, 1e-20)]) for k in range(10)]), tol=1e-12)
     assert (s.terms_used, s.exhausted, s.converged) == (3, False, True)
+
+
+def test_series_results_are_real_floats():
+    cont = Contour((1.0, 1.0))
+    deep_otm = OptionContract(spot=60.0, strike=100.0, tau=1.0, rate=0.0, sigma=0.1)
+    consts = AmericanConstants.from_rates(0.1, 0.3)
+    results = [
+        sum_residues_1d(gamma_z(1.0), Contour((1.0,)), Direction.LEFT),
+        sum_residues_2d(exp2d(1.0, 1.0), cont, compatible_cone_2d(exp2d(1.0, 1.0), cont)),
+        bs_series(OptionContract(3700.0, 4000.0, 1.0, 0.01, 0.25)),  # float path
+        bs_series(deep_otm, tol=1e-9 * 2.3e-7),  # escalated to mpmath
+        american_kernel_series(3, 1, 0.5, consts),  # residue series
+        american_kernel_series(1, 2, 0.5, consts),  # finite binomial
+        green_fractional_series(0.8, 1.0, FractionalDiffusionParams(1.3, 1.0, 0.3, 1.0)),
+    ]
+    for res in results:
+        assert [type(v) for v in (res.value, res.last_shell_magnitude, res.max_term)] == [float] * 3
+        assert res.converged and res.max_term > 0.0
+        for shell in res.record:
+            assert type(shell.shell_sum) is float and type(shell.partial) is float
+            assert all(type(t) is float for _, t in shell.terms)
+    assert all(res.record for res in results[:4])
 
 
 def test_sum_exp_left():
@@ -253,8 +278,8 @@ def test_finite_side_sum_is_complete():
                       powers=(PowerFactor(2.0, (-1.0,), 0.0),))
     res = sum_residues_1d(f, Contour((10.0,)), Direction.LEFT, tol=1e-15, max_terms=50)
     assert res.converged and res.terms_used == 7 and res.last_shell_magnitude == 0.0
-    manual = sum(complex(_residue_at_point(f, (float(z),))).real for z in range(3, 10))
-    assert complex(res.value).real == pytest.approx(manual, rel=1e-13)
+    manual = sum(_residue_at_point(f, (float(z),)) for z in range(3, 10))
+    assert res.value == pytest.approx(manual, rel=1e-13)
 
 
 def test_sum_is_deterministic():
@@ -341,7 +366,7 @@ def test_grothendieck_scaled_gammas():
     for n in range(3):
         for m in range(3):
             want = (1.0 / (a * b)) * (-1.0) ** (n + m) / (math.factorial(n) * math.factorial(m))
-            got = complex(_residue_at_point(f, (-n / a, -m / b))).real
+            got = _residue_at_point(f, (-n / a, -m / b))
             assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -351,7 +376,7 @@ def test_grothendieck_taylor_2d():
     for n in range(4):
         for m in range(4):
             want = (-1.0) ** (n + m) * x1**n * x2**m / (math.factorial(n) * math.factorial(m))
-            got = complex(_residue_at_point(f, (-float(n), -float(m)))).real
+            got = _residue_at_point(f, (-float(n), -float(m)))
             assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -369,9 +394,9 @@ def test_grothendieck_swap_symmetry():
     g = exp2d(x2, x1)
     for n in range(3):
         for m in range(3):
-            a = complex(_residue_at_point(f, (-float(n), -float(m))))
-            b = complex(_residue_at_point(g, (-float(m), -float(n))))
-            assert a.real == pytest.approx(b.real, rel=1e-14)
+            a = _residue_at_point(f, (-float(n), -float(m)))
+            b = _residue_at_point(g, (-float(m), -float(n)))
+            assert a == pytest.approx(b, rel=1e-14)
 
 
 def test_sum_2d_exponential():

@@ -4,8 +4,8 @@ import pytest
 
 from mellinbarnes.special_functions import (
     normal_cdf,
+    pole_index,
     real_gamma_sign,
-    real_log_abs_gamma,
 )
 
 
@@ -30,5 +30,9 @@ def test_real_gamma_sign():
     assert real_gamma_sign(-1.5) == 1.0
     assert real_gamma_sign(-2.5) == -1.0
     assert math.copysign(1.0, math.gamma(-4.3)) == real_gamma_sign(-4.3)
-    assert real_log_abs_gamma(-4.3) == pytest.approx(math.lgamma(-4.3), rel=1e-15)
+
+
+def test_pole_index_has_one_tolerance():
+    assert [pole_index(x) for x in (0.0, -3.0, -3.0 + 5e-10, -3.0 - 5e-10)] == [0, 3, 3, 3]
+    assert [pole_index(x) for x in (1.0, -3.0 + 2e-9, -2.5, 0.5)] == [None] * 4
 

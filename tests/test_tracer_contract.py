@@ -1,0 +1,39 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps library functions by
+name and reads some of their call parameters to count work.  Renaming one of
+those functions or parameters makes a layer read as absent, so both are
+checked here, with the tracer module loaded from its file as it is."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_traced_boundary_exists():
+    tracing = _load_tracing()
+    missing = [f"{bd.module}.{bd.attr}" for bd in tracing.BOUNDARIES
+               if not hasattr(importlib.import_module(f"{tracing.PACKAGE}.{bd.module}"), bd.attr)]
+    assert missing == []
+
+
+def test_counted_parameters_exist():
+    tracing = _load_tracing()
+    la = importlib.import_module("mellinbarnes.laplace_american")
+    # the counters bind the call to the signature and read parameters by name
+    # (x, panels, nodes, symbol_scale; m), defaults included
+    assert tracing._symbol_evals(la.vertical_inverse, (None, 1.0), {"mu": 1.0}, None) == {
+        "symbol_evals": 160 * 1 * 24}
+    assert tracing._talbot_nodes(la.talbot_inverse, (None, 1.0), {}, None) == {"nodes": 48}

@@ -83,6 +83,9 @@ ENTRY_POINTS = {
     "green_params_theta_nan": lambda: FractionalDiffusionParams(1.5, 1.0, NAN, 1.0),
     "green_params_mu_inf": lambda: FractionalDiffusionParams(1.5, 1.0, 0.0, INF),
     "heat_kernel_y_nan": lambda: heat_kernel(NAN, 1.0, 1.0),
+    "gamma_fraction_constant_nan": lambda: GammaFraction(numerator=EXP.numerator, constant=NAN),
+    # a Gamma pole within the one pole tolerance, 1e-9
+    "f_power_nu_near_pole": lambda: f_power(1.0, -2.0 + 5e-10),
     # tolerances must be finite and positive, term budgets at least 1
     "sum_1d_tol_nan": lambda: _sum_1d(tol=NAN),
     "sum_1d_tol_zero": lambda: _sum_1d(tol=0.0),
