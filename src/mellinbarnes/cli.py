@@ -4,9 +4,9 @@ kernel and boundary evaluation, and residue-engine demos.
 Exit codes: 0 success, 2 usage/validation error, 3 numerical non-convergence
 (output is still emitted with per-row flags where partial results exist).
 Config precedence: command-line flags override the optional key=value config
-file, which overrides built-in defaults.  Machine formats (json/csv) emit
-every number with 17 significant digits and are byte-deterministic for a
-given configuration.
+file, which overrides built-in defaults; a config key that no command reads is
+a usage error.  Machine formats (json/csv) emit every number with 17
+significant digits and are byte-deterministic for a given configuration.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import json
 import math
 import sys
 from typing import Optional
+
+import numpy as np
 
 from . import bs_pricer, fractional_green, laplace_american
 from .bs_pricer import OptionContract
@@ -38,15 +40,17 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_DEFAULTS = {
-    "tol": 1e-10,
-    "max_terms": 400,
-    "format": "human",
-    "out": None,
-    "theta": 0.0,
-    "mu": 1.0,
-    "side": "left",
+# key: (type, or the tuple of allowed values[, default]); a key without a
+# default is required.  Its flag is "--" + key with "_" -> "-", and a config
+# file may set it under either spelling.
+_OPTIONS = {
+    "spot": (float,), "strike": (float,), "tau": (float,), "sigma": (float,), "rate": (float,),
+    "alpha": (float,), "gamma_t": (float,), "theta": (float, 0.0), "mu": (float, 1.0),
+    "x_grid": (str,), "tau_grid": (str,), "n": (int,), "m": (int,),
+    "max_terms": (int, 400), "side": (("left", "right"), "left"),
+    "tol": (float, 1e-10), "format": (("human", "json", "csv"), "human"), "out": (str, None),
 }
+_COMMON = ("tol", "format", "out")
 
 
 def _fmt(x) -> str:
@@ -159,42 +163,43 @@ def _read_config(path: Optional[str]) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {raw.rstrip()}")
             key, val = (tok.strip() for tok in line.split("=", 1))
-            vals[key.replace("-", "_")] = val
+            key = key.replace("-", "_")
+            if key not in _OPTIONS:
+                raise ValueError(f"config key {key!r} is not an option of any command")
+            vals[key] = val
     return vals
 
 
-_STR_KEYS = {"format", "out", "side", "x_grid", "tau_grid"}
-_INT_KEYS = {"max_terms", "n", "m"}
+def _options(args: argparse.Namespace) -> dict:
+    """The command's keys and the common ones: flags > config file > defaults.
+    Missing required keys and non-finite numbers are usage errors; the
+    library validates the rest."""
+    config = _read_config(args.config)
+    opts: dict = {}
+    for key in args.keys + _COMMON:
+        kind, *default = _OPTIONS[key]
+        flag = "--" + key.replace("_", "-")
+        val = getattr(args, key)
+        if val is None and key in config:
+            val = config[key]
+            if not isinstance(kind, tuple):
+                val = kind(val)
+            elif val not in kind:
+                raise ValueError(f"{flag}: invalid choice: {val!r} "
+                                 f"(choose from {', '.join(map(repr, kind))})")
+        elif val is None:
+            if not default:
+                raise ValueError(f"missing required option {flag}")
+            val = default[0]
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ValueError(f"{flag} must be finite, got {val}")
+        opts[key] = val
+    return opts
 
 
-def _coerce(key: str, val):
-    if isinstance(val, str) and key not in _STR_KEYS:
-        return int(val) if key in _INT_KEYS else float(val)
-    if key in _INT_KEYS and val is not None:
-        return int(val)
-    return val
-
-
-def _merge_options(args: argparse.Namespace, needed: list) -> dict:
-    """flags > config file > defaults; missing required keys are usage errors.
-    Commands that sum a series list "max_terms"; the library validates it and tol."""
-    given = vars(args)
-    config = _read_config(given.get("config"))
-    out: dict = {}
-    for key in needed + ["tol", "format", "out"]:
-        if key in given and given[key] is not None:
-            out[key] = _coerce(key, given[key])
-        elif key in config:
-            out[key] = _coerce(key, config[key])
-        elif key in _DEFAULTS:
-            out[key] = _DEFAULTS[key]
-        else:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        if isinstance(out[key], float) and not math.isfinite(out[key]):
-            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {out[key]}")
-    if out["format"] not in ("human", "json", "csv"):
-        raise ValueError(f"unknown format {out['format']!r}")
-    return out
+def _params(opts: dict) -> dict:
+    """The params echo: the command's keys and tol."""
+    return {k: v for k, v in opts.items() if k not in ("format", "out")}
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +207,21 @@ def _merge_options(args: argparse.Namespace, needed: list) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_price(args) -> int:
-    opts = _merge_options(args, ["spot", "strike", "tau", "sigma", "rate", "max_terms"])
+    opts = _options(args)
     contract = OptionContract(spot=opts["spot"], strike=opts["strike"],
                               tau=opts["tau"], rate=opts["rate"], sigma=opts["sigma"])
     closed = bs_pricer.bs_closed_form(contract)
     series = bs_pricer.bs_series(contract, tol=opts["tol"], max_shells=opts["max_terms"])
     fwd = bs_pricer.forward_term(contract)
     series_price = series.value if series.converged else closed
-    report = _Report("price", {k: opts[k] for k in ("spot", "strike", "tau", "sigma", "rate", "tol", "max_terms")})
+    report = _Report("price", _params(opts))
     report.summary = {
         "closed_form": closed,
-        "series": float(series.value),
+        "series": series.value,
         "forward_term": fwd,
         "converged": series.converged,
-        "gap_abs": abs(float(series.value) - closed),
-        "gap_rel": abs(float(series.value) - closed) / abs(closed) if closed else float("inf"),
+        "gap_abs": abs(series.value - closed),
+        "gap_rel": abs(series.value - closed) / abs(closed) if closed else float("inf"),
         "terms_used": series.terms_used,
     }
     report.columns = ["n", "m", "value"]
@@ -229,13 +234,13 @@ def cmd_price(args) -> int:
 
 
 def cmd_green(args) -> int:
-    opts = _merge_options(args, ["alpha", "gamma_t", "theta", "mu", "tau", "x_grid", "max_terms"])
+    opts = _options(args)
     params = FractionalDiffusionParams(alpha=opts["alpha"], gamma_t=opts["gamma_t"],
                                        theta=opts["theta"], mu=opts["mu"])
     grid = _parse_grid(opts["x_grid"])
     if opts["tau"] <= 0:
         raise ValueError("tau must be positive")
-    report = _Report("green", {k: opts[k] for k in ("alpha", "gamma_t", "theta", "mu", "tau", "x_grid", "tol", "max_terms")})
+    report = _Report("green", _params(opts))
     report.columns = ["x", "density", "flag"]
     failed = 0
     kept = []
@@ -246,13 +251,12 @@ def cmd_green(args) -> int:
         res = fractional_green.green_fractional_series(x, opts["tau"], params,
                                                        tol=opts["tol"], max_terms=opts["max_terms"])
         if res.converged:
-            report.rows.append([x, float(res.value), "ok"])
-            kept.append((x, float(res.value)))
+            report.rows.append([x, res.value, "ok"])
+            kept.append((x, res.value))
         else:
-            report.rows.append([x, float(res.value), "not-converged"])
+            report.rows.append([x, res.value, "not-converged"])
             failed += 1
     if len(kept) >= 2:
-        import numpy as np
         xs, ys = zip(*kept)
         report.summary["normalization_estimate"] = float(np.trapezoid(ys, xs))
     report.summary["points_failed"] = failed
@@ -260,50 +264,45 @@ def cmd_green(args) -> int:
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def cmd_american(args) -> int:
-    sub = args.american_command
-    if sub == "boundary":
-        opts = _merge_options(args, ["rate", "sigma", "tau_grid"])
-        grid = _parse_grid(opts["tau_grid"])
-        report = _Report("american-boundary",
-                         {k: opts[k] for k in ("rate", "sigma", "tau_grid", "tol")})
-        report.columns = ["tau", "boundary_over_strike", "talbot", "vertical", "agreement", "flag"]
-        failures = 0
-        for tau in grid:
-            try:
-                inv = laplace_american.exercise_boundary(tau, opts["rate"], opts["sigma"],
-                                                         tol=opts["tol"])
-                agree = abs(inv.talbot - inv.vertical) / max(1.0, abs(inv.talbot))
-                report.rows.append([tau, inv.value, inv.talbot, inv.vertical, agree, "ok"])
-            except (UnreliableInversionError, laplace_american.BranchCrossingError) as exc:
-                report.rows.append([tau, float("nan"), float("nan"), float("nan"),
-                                    float("nan"), f"unreliable: {exc}"])
-                failures += 1
-        _emit(report, opts)
-        return EXIT_NUMERICAL if failures else EXIT_OK
-
-    if sub == "kernel":
-        opts = _merge_options(args, ["rate", "sigma", "n", "m", "tau", "max_terms"])
-        consts = AmericanConstants.from_rates(opts["rate"], opts["sigma"])
-        report = _Report("american-kernel",
-                         {k: opts[k] for k in ("rate", "sigma", "n", "m", "tau", "tol", "max_terms")})
-        report.columns = ["n", "m", "series", "oracle", "gap"]
+def cmd_boundary(args) -> int:
+    opts = _options(args)
+    grid = _parse_grid(opts["tau_grid"])
+    report = _Report("american-boundary", _params(opts))
+    report.columns = ["tau", "boundary_over_strike", "talbot", "vertical", "agreement", "flag"]
+    failures = 0
+    for tau in grid:
         try:
-            series = laplace_american.american_kernel_series(
-                opts["n"], opts["m"], opts["tau"], consts,
-                tol=opts["tol"], max_shells=opts["max_terms"])
-            oracle = laplace_american.american_kernel_oracle(opts["n"], opts["m"], opts["tau"], consts)
-        except UnreliableInversionError as exc:
-            report.diagnostics["error"] = str(exc)
-            _emit(report, opts)
-            return EXIT_NUMERICAL
-        gap = abs(float(series.value) - oracle)
-        report.rows.append([opts["n"], opts["m"], float(series.value), oracle, gap])
-        report.summary = {"converged": series.converged, "terms_used": series.terms_used}
-        _emit(report, opts)
-        return EXIT_OK if series.converged else EXIT_NUMERICAL
+            inv = laplace_american.exercise_boundary(tau, opts["rate"], opts["sigma"],
+                                                     tol=opts["tol"])
+            agree = inv.spread / max(1.0, abs(inv.talbot))
+            report.rows.append([tau, inv.value, inv.talbot, inv.vertical, agree, "ok"])
+        except (UnreliableInversionError, laplace_american.BranchCrossingError) as exc:
+            report.rows.append([tau, float("nan"), float("nan"), float("nan"),
+                                float("nan"), f"unreliable: {exc}"])
+            failures += 1
+    _emit(report, opts)
+    return EXIT_NUMERICAL if failures else EXIT_OK
 
-    raise ValueError("american needs a subcommand: boundary or kernel")
+
+def cmd_kernel(args) -> int:
+    opts = _options(args)
+    consts = AmericanConstants.from_rates(opts["rate"], opts["sigma"])
+    report = _Report("american-kernel", _params(opts))
+    report.columns = ["n", "m", "series", "oracle", "gap"]
+    try:
+        series = laplace_american.american_kernel_series(
+            opts["n"], opts["m"], opts["tau"], consts,
+            tol=opts["tol"], max_shells=opts["max_terms"])
+        oracle = laplace_american.american_kernel_oracle(opts["n"], opts["m"], opts["tau"], consts)
+    except UnreliableInversionError as exc:
+        report.diagnostics["error"] = str(exc)
+        _emit(report, opts)
+        return EXIT_NUMERICAL
+    gap = abs(series.value - oracle)
+    report.rows.append([opts["n"], opts["m"], series.value, oracle, gap])
+    report.summary = {"converged": series.converged, "terms_used": series.terms_used}
+    _emit(report, opts)
+    return EXIT_OK if series.converged else EXIT_NUMERICAL
 
 
 def _demo_fraction(kind: str, xs: list) -> tuple:
@@ -317,23 +316,19 @@ def _demo_fraction(kind: str, xs: list) -> tuple:
                                         GammaLinearFactor((-1.0,), 1.0)),
                              powers=(PowerFactor(xs[0], (-1.0,), 0.0),))
         return frac, Contour((0.5,)), 1.0 / (1.0 + xs[0])
-    if kind == "exp2d":
-        frac = GammaFraction(
-            numerator=(GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1.0), 0.0)),
-            powers=(PowerFactor(xs[0], (-1.0, 0.0), 0.0), PowerFactor(xs[1], (0.0, -1.0), 0.0)))
-        return frac, Contour((1.0, 1.0)), math.exp(-(xs[0] + xs[1]))
-    raise ValueError(f"unknown demo {kind!r}")
+    frac = GammaFraction(
+        numerator=(GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1.0), 0.0)),
+        powers=(PowerFactor(xs[0], (-1.0, 0.0), 0.0), PowerFactor(xs[1], (0.0, -1.0), 0.0)))
+    return frac, Contour((1.0, 1.0)), math.exp(-(xs[0] + xs[1]))
 
 
 def cmd_demo(args) -> int:
     kind = args.demo_command
-    opts = _merge_options(args, ["max_terms", "side"] if kind == "beta" else ["max_terms"])
-    xvals = [float(v) for v in args.x]
+    opts = _options(args)
+    xvals = args.x
     count = 2 if kind == "exp2d" else 1
-    if len(xvals) != count or not all(0 < v < math.inf for v in xvals):
+    if len(xvals) != count:
         raise ValueError(f"demo {kind} needs {count} positive, finite --x value(s)")
-    if kind == "beta" and opts["side"] not in ("left", "right"):
-        raise ValueError("--side must be left or right")
     frac, contour, reference = _demo_fraction(kind, xvals)
     if kind == "exp2d":
         cone = compatible_cone_2d(frac, contour)
@@ -342,11 +337,10 @@ def cmd_demo(args) -> int:
         report.summary["cone"] = [f.value for f in cone.faces]
         res = sum_residues_2d(frac, contour, cone, tol=opts["tol"], max_shells=opts["max_terms"])
     else:
-        direction = Direction.RIGHT if opts.get("side") == "right" else Direction.LEFT
-        report = _Report(f"demo-{kind}", {"x": xvals[0], "side": opts.get("side", "left"),
-                                          "tol": opts["tol"]})
+        side = opts.get("side", "left")
+        report = _Report(f"demo-{kind}", {"x": xvals[0], "side": side, "tol": opts["tol"]})
         report.columns = ["pole", "residue_term", "partial_sum"]
-        res = sum_residues_1d(frac, contour, direction, tol=opts["tol"],
+        res = sum_residues_1d(frac, contour, Direction(side), tol=opts["tol"],
                               max_terms=opts["max_terms"])
     report.rows = [[sh.label, sh.shell_sum, sh.partial] for sh in res.record]
     report.summary.update(reference=reference, partial_sum=res.value,
@@ -359,11 +353,15 @@ def cmd_demo(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--format", choices=("human", "json", "csv"), default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
+def _leaf(p: argparse.ArgumentParser, func, keys: tuple) -> None:
+    """Give a leaf command the flags of its keys and the common ones."""
+    for key in keys + _COMMON:
+        kind = _OPTIONS[key][0]
+        choices = kind if isinstance(kind, tuple) else None
+        p.add_argument("--" + key.replace("_", "-"), type=None if choices else kind,
+                       choices=choices, help="lo:hi:step" if key.endswith("_grid") else None)
+    p.add_argument("--config")
+    p.set_defaults(func=func, keys=keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,57 +370,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mellin-Barnes residue engine: option pricing, fractional "
                     "Green functions, American-option kernels and demos.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_price = sub.add_parser("price", help="Black-Scholes call: closed form and residue series")
-    for flag in ("--spot", "--strike", "--tau", "--sigma", "--rate"):
-        p_price.add_argument(flag, type=float, default=None)
-    p_price.add_argument("--max-terms", type=int, default=None)
-    _add_common(p_price)
-    p_price.set_defaults(func=cmd_price)
-
-    p_green = sub.add_parser("green", help="fractional-diffusion Green function table")
-    for flag in ("--alpha", "--gamma-t", "--theta", "--mu", "--tau"):
-        p_green.add_argument(flag, type=float, default=None)
-    p_green.add_argument("--x-grid", dest="x_grid", default=None, help="lo:hi:step")
-    p_green.add_argument("--max-terms", type=int, default=None)
-    _add_common(p_green)
-    p_green.set_defaults(func=cmd_green)
+    _leaf(sub.add_parser("price", help="Black-Scholes call: closed form and residue series"),
+          cmd_price, ("spot", "strike", "tau", "sigma", "rate", "max_terms"))
+    _leaf(sub.add_parser("green", help="fractional-diffusion Green function table"),
+          cmd_green, ("alpha", "gamma_t", "theta", "mu", "tau", "x_grid", "max_terms"))
 
     p_am = sub.add_parser("american", help="exercise boundary and kernel evaluation")
     am_sub = p_am.add_subparsers(dest="american_command", required=True)
-    p_bdy = am_sub.add_parser("boundary")
-    p_bdy.add_argument("--rate", type=float, default=None)
-    p_bdy.add_argument("--sigma", type=float, default=None)
-    p_bdy.add_argument("--tau-grid", dest="tau_grid", default=None, help="lo:hi:step")
-    _add_common(p_bdy)
-    p_bdy.set_defaults(func=cmd_american)
-    p_ker = am_sub.add_parser("kernel")
-    p_ker.add_argument("--rate", type=float, default=None)
-    p_ker.add_argument("--sigma", type=float, default=None)
-    p_ker.add_argument("--n", type=int, default=None)
-    p_ker.add_argument("--m", type=int, default=None)
-    p_ker.add_argument("--tau", type=float, default=None)
-    p_ker.add_argument("--max-terms", type=int, default=None)
-    _add_common(p_ker)
-    p_ker.set_defaults(func=cmd_american)
+    _leaf(am_sub.add_parser("boundary"), cmd_boundary, ("rate", "sigma", "tau_grid"))
+    _leaf(am_sub.add_parser("kernel"), cmd_kernel, ("rate", "sigma", "n", "m", "tau", "max_terms"))
 
     p_demo = sub.add_parser("demo", help="pedagogical residue summations")
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)
     for name in ("exp", "beta", "exp2d"):
         pd = demo_sub.add_parser(name)
-        pd.add_argument("--x", nargs="+", required=True)
-        if name == "beta":
-            pd.add_argument("--side", choices=("left", "right"), default=None)
-        pd.add_argument("--max-terms", type=int, default=None)
-        _add_common(pd)
-        pd.set_defaults(func=cmd_demo)
+        pd.add_argument("--x", nargs="+", type=float, required=True)
+        _leaf(pd, cmd_demo, ("side", "max_terms") if name == "beta" else ("max_terms",))
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)

@@ -430,10 +430,6 @@ def sum_residues_2d(f: GammaFraction, contour: Contour, cone: Cone,
     for face in cone.faces:
         orient *= 1.0 if face is Direction.LEFT else -1.0
 
-    if not locs[0] or not locs[1]:
-        return ResidueSeriesResult(value=0.0, terms_used=0, last_shell_magnitude=0.0,
-                                   converged=True, exhausted=True)
-
     n1, n2 = len(locs[0]), len(locs[1])
     shell_cap = min(max_shells, n1 + n2 - 1)
 

@@ -417,6 +417,19 @@ def test_sum_2d_empty_cone():
     assert res.value == 0.0 and res.converged
 
 
+def test_sum_2d_no_candidates_on_an_infinite_side_is_not_converged():
+    # Gamma(-z1) has poles at z1 = 31, 32, ... right of the contour, none of
+    # them in the candidate window of a 10-shell budget
+    f = GammaFraction(
+        numerator=(GammaLinearFactor((-1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1.0), 0.0)),
+        powers=(PowerFactor(0.01, (-1.0, 0.0), 0.0), PowerFactor(1.0, (0.0, -1.0), 0.0)))
+    cont = Contour((30.5, 1.0))
+    cone = compatible_cone_2d(f, cont)
+    assert cone.faces[0] is Direction.RIGHT
+    res = sum_residues_2d(f, cont, cone, max_shells=10)
+    assert not res.converged and res.exhausted
+
+
 def test_sum_2d_mixed_cone_orientation():
     # product form 1/(1+x1) * e^{-x2} with x1 > 1 needs a right x left cone;
     # validates the clockwise closure sign in variable 1
