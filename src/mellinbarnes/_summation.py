@@ -1,5 +1,5 @@
-"""Compensated summation, the shared series stopping rule, and sum_shells,
-the one summation loop every residue series in the library goes through.
+"""Compensated float summation, the shared series stopping rule, and
+sum_shells, the one summation loop every residue series goes through.
 
 Summation order is always fixed by the caller's shell iterator, so converged
 results are bit-reproducible run to run.  Elevated precision never touches
@@ -21,13 +21,13 @@ class ConvergenceError(ArithmeticError):
 
 
 class KahanSum:
-    """Kahan-compensated accumulator of floats (or of mpmath reals)."""
+    """Kahan-compensated accumulator of floats."""
 
     __slots__ = ("value", "_comp")
 
     def __init__(self, start=0.0):
         self.value = start
-        self._comp = 0.0 * start
+        self._comp = 0.0
 
     def add(self, term):
         y = term - self._comp
@@ -119,38 +119,42 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
                start=0.0) -> ResidueSeriesResult:
     """Sum an iterator of (label, [(key, term), ...]) shells in order.
 
-    The non-zero terms are added to `start` with compensated summation; a
-    shell with no non-zero term is skipped and never reaches the stopping
-    rule.  Every other shell feeds the sum of its term magnitudes to one
-    SeriesStopper.  Terms may be floats or mpmath reals; the value, the
-    magnitudes and the record's numbers are returned as Python floats.
+    The non-zero terms are added to `start`: compensated for a float start,
+    into one plain total for an mpmath start, whose guard digits make
+    compensation useless.  A shell with no non-zero term is skipped and never
+    reaches the stopping rule.  Every other shell feeds the float sum of its
+    term magnitudes to one SeriesStopper.  All returned numbers are floats.
     """
     acc = KahanSum(start)
+    compensated = isinstance(start, float)
     stopper = SeriesStopper(tol, abort_on_divergence=abort_on_divergence)
     used = 0
     last = 0.0
-    max_term = abs(start)
+    max_term = abs(float(start))
     record = []
     for label, pairs in shells:
         terms = []
-        mag = 0.0
-        shell_sum = 0.0
+        mag = shell_sum = 0.0
         for key, t in pairs:
-            if t == 0:
+            if not t:
                 continue
-            acc.add(t)
+            if compensated:
+                acc.add(t)
+            else:
+                acc.value += t
+            t = float(t)
             shell_sum += t
             a = abs(t)
             mag += a
             if a > max_term:
                 max_term = a
-            terms.append((key, float(t)))
+            terms.append((key, t))
         if not terms:
             continue
         used += len(terms)
-        last = float(mag)
-        record.append(Shell(label, terms, float(shell_sum), float(acc.value)))
-        if stopper.update(last, float(abs(acc.value))):
-            return ResidueSeriesResult(float(acc.value), used, last, stopper.converged, False,
-                                       float(max_term), record)
-    return ResidueSeriesResult(float(acc.value), used, last, False, True, float(max_term), record)
+        last = mag
+        value = float(acc.value)
+        record.append(Shell(label, terms, shell_sum, value))
+        if stopper.update(mag, abs(value)):
+            return ResidueSeriesResult(value, used, mag, stopper.converged, False, max_term, record)
+    return ResidueSeriesResult(float(acc.value), used, last, False, True, max_term, record)

@@ -400,7 +400,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:  # invalid input, rejected by the CLI or the library
+    except (ValueError, OSError) as exc:  # invalid input, or a config/out file it cannot open
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnreliableInversionError, fractional_green.ConvergenceError) as exc:

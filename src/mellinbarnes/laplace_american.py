@@ -201,28 +201,31 @@ def f_shifted(n: int, alpha: float, nu: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def talbot_inverse(func: Callable, x: float, m: int = 48) -> float:
-    """Fixed-Talbot inversion in a private mpmath context whose working
-    precision is scaled to the node count (the contour spans a dynamic range
-    ~e^{2m/5}, far beyond double)."""
+    """Fixed-Talbot inversion with m nodes in a private mpmath context.  Its
+    precision is scaled to m, since the contour spans a dynamic range ~e^{2m/5};
+    it is built once per m with the nodes z_k = p_k x and their weights."""
     require_finite("x", x)
-    if x <= 0.0:
-        raise ValueError("talbot_inverse requires x > 0")
-    ctx = mpmath.MPContext()
-    ctx.dps = int(0.19 * m) + 20
-    r = ctx.mpf(2 * m) / (5 * ctx.mpf(x))
-    total = ctx.re(ctx.exp(r * x) * func(ctx.mpc(r, 0)) / 2)
-    for k in range(1, m):
-        th = ctx.pi * k / m
-        cot = ctx.cos(th) / ctx.sin(th)
-        p = r * th * ctx.mpc(cot, 1)
-        sigma = th + (th * cot - 1) * cot
-        total += (ctx.exp(p * x) * func(p) * ctx.mpc(1, sigma)).real
-    return float(r * total / m)
+    if x <= 0.0 or not isinstance(m, int) or m < 2:
+        raise ValueError(f"talbot_inverse requires x > 0 and an integer m >= 2, got {x!r}, {m!r}")
+    if m not in _TALBOT_CACHE:
+        ctx = mpmath.MPContext()
+        ctx.dps = int(0.19 * m) + 20
+        z0 = ctx.mpf(2 * m) / 5
+        nodes = [(ctx.mpc(z0, 0), ctx.exp(z0) / 2)]
+        for k in range(1, m):
+            th = ctx.pi * k / m
+            cot = ctx.cos(th) / ctx.sin(th)
+            z = z0 * th * ctx.mpc(cot, 1)
+            nodes.append((z, ctx.exp(z) * ctx.mpc(1, th + (th * cot - 1) * cot)))
+        _TALBOT_CACHE[m] = (ctx, z0, nodes)
+    _, z0, nodes = _TALBOT_CACHE[m]
+    return float(z0 / x * sum((w * func(z / x)).real for z, w in nodes) / m)
 
 
-# read-only arrays, so every caller can share them; not functools.lru_cache,
-# whose __wrapped__ attribute the benchmark's tracer test takes for a
-# wrapper it failed to remove
+# read-only values (a cached context's precision is never changed), so every
+# caller can share them; not functools.lru_cache, whose __wrapped__ attribute
+# the benchmark's tracer test takes for a wrapper it failed to remove
+_TALBOT_CACHE: dict = {}
 _GL_CACHE: dict = {}
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -191,6 +192,42 @@ def test_max_term_is_the_escalation_condition_numerator():
     assert res.max_term * 5e-16 > 0.1 * tol * abs(res.value)
     ref = bs_series(REFERENCE_CONTRACT, tol=1e-10)
     assert not ref.max_term * 5e-16 > 0.1 * 1e-10 * abs(ref.value)
+
+
+# (spot, tau, rate, sigma) at strike 100 -> value, terms_used, converged,
+# max_term and a hash of the record's per-term floats of the escalated pass
+ESCALATED_BITS = [
+    ((40.0, 1.0, 0.02, 0.2),
+     ("0x1.3de8edcac2c6ap-17", 1200, True, "0x1.ee547601ed7ddp+13", "bb8ff6f17f5fe0ae")),
+    ((40.0, 0.25, 0.01, 0.45),
+     ("0x1.422f4f07d0058p-14", 972, True, "0x1.a01857e342c13p+11", "17442554f2b27872")),
+    ((45.0, 0.5, 0.05, 0.3),
+     ("0x1.da7018cb497e9p-12", 736, True, "0x1.77d977f56e8dcp+9", "91a91982ffe93981")),
+    ((48.0, 2.0, 0.0, 0.15),
+     ("0x1.06b34bdae4bb5p-10", 675, True, "0x1.aa90457c6831bp+8", "645866a7eed249c3")),
+    ((50.0, 1.0, 0.02, 0.2),
+     ("0x1.699af4abf847bp-10", 616, True, "0x1.333d69b51f8e4p+8", "4efc06176f4f986e")),
+    ((55.0, 1.0, 0.02, 0.2),
+     ("0x1.0d5e67453c738p-7", 456, True, "0x1.598198cccca7bp+6", "0d186fcaad4d0f8b")),
+    ((55.0, 0.5, 0.05, 0.3),
+     ("0x1.0c3cf7106af1ap-6", 408, True, "0x1.e74518bb34272p+5", "a067c02f5722e880")),
+    ((55.0, 2.0, 0.0, 0.15),
+     ("0x1.6f3b681a6ebbbp-7", 432, True, "0x1.3f285b3702abfp+6", "96363989e4adc9eb")),
+]
+
+
+@pytest.mark.parametrize("params, bits", ESCALATED_BITS)
+def test_escalated_bits_are_pinned(params, bits):
+    spot, tau, rate, sigma = params
+    c = OptionContract(spot, 100.0, tau, rate, sigma)
+    assert abs(log_moneyness(c)) / c.sigma_sqrt_tau <= MONEYNESS_SERIES_LIMIT
+    tol = min(1e-10, 1e-9 * bs_closed_form(c))
+    res = bs_series(c, tol=tol)
+    assert res.max_term * 5e-16 > 0.1 * tol * abs(res.value)  # the mpmath pass ran
+    floats = ",".join(t.hex() for sh in res.record for _, t in sh.terms)
+    got = (res.value.hex(), res.terms_used, res.converged, res.max_term.hex(),
+           hashlib.sha256(floats.encode()).hexdigest()[:16])
+    assert got == bits
 
 
 # ---------------------------------------------------------------------------

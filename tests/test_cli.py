@@ -307,6 +307,12 @@ def test_config_rejects_unknown_keys_and_bad_choices(tmp_path, capsys):
     cfg.write_text("format = xml\n")
     code, out, err = run_cli(capsys, "demo", "exp", "--x", "1", "--config", str(cfg))
     assert code == 2 and out == "" and "--format" in err and "'xml'" in err
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run_cli(capsys, *PRICE_ARGS, "--config", str(missing))
+    assert code == 2 and out == "" and str(missing) in err and "Traceback" not in err
+    nowhere = tmp_path / "no-dir" / "out.txt"
+    code, out, err = run_cli(capsys, *PRICE_ARGS, "--out", str(nowhere))
+    assert code == 2 and out == "" and str(nowhere) in err
 
 
 def test_config_keys_of_another_command_are_allowed(tmp_path, capsys):

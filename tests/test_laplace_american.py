@@ -1,4 +1,5 @@
 import cmath
+import concurrent.futures
 import math
 import pathlib
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mellinbarnes import laplace_american
 from mellinbarnes._summation import KahanSum
 from mellinbarnes.laplace_american import (
     AmericanConstants,
@@ -170,6 +172,25 @@ def test_talbot_and_vertical_agree_on_decaying_kernel():
         # the vertical method's error scale is set by e^{mu x}, so its
         # *relative* accuracy degrades as the value decays at large x
         assert vertical_inverse(f, x, mu=1.0) == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("m", [0, 1, -3, 2.0, None])
+def test_talbot_inverse_rejects_a_bad_node_count(m):
+    # m = -3 used to return 0.0247 for 1/(p^2+1) at x = 1, where the answer is sin 1
+    with pytest.raises(ValueError):
+        talbot_inverse(lambda p: 1 / (p * p + 1), 1.0, m=m)
+
+
+def test_cold_talbot_cache_under_threads(monkeypatch):
+    taus = (0.1, 0.5, 1.2, 2.0)
+    serial = [exercise_boundary(tau, 0.08, 0.3) for tau in taus]
+    monkeypatch.setattr(laplace_american, "_TALBOT_CACHE", {})
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda tau: exercise_boundary(tau, 0.08, 0.3), taus))
+    assert threaded == serial
+    cache = laplace_american._TALBOT_CACHE
+    assert list(cache) == [48]
+    assert all(ctx.dps == int(0.19 * m) + 20 for m, (ctx, _, _) in cache.items())
 
 
 def _vertical_node_by_node(func, x, mu, panels=160, nodes=24, averaged=40, symbol_scale=4.0):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -203,6 +204,23 @@ def test_sum_shells_skips_shells_without_nonzero_terms():
     assert (s.terms_used, s.exhausted, s.converged, s.record) == (0, True, False, [])
     s = sum_shells(iter([(k, [(k, 1e-20)]) for k in range(10)]), tol=1e-12)
     assert (s.terms_used, s.exhausted, s.converged) == (3, False, True)
+
+
+def test_sum_shells_adds_mpmath_terms_to_one_plain_total():
+    ctx = mpmath.MPContext()
+    ctx.dps = 40
+    start = ctx.mpf(1) / 9
+    terms = [ctx.mpf(1) / 3, -ctx.mpf(2) / 7, ctx.mpf(0), ctx.mpf(10) ** -20 / 3, ctx.mpf(5) / 11]
+    s = sum_shells(iter([(k, [(k, t)]) for k, t in enumerate(terms)]), tol=1e-30, start=start)
+    total = start
+    for t in terms:
+        total += t
+    assert s.value == float(total)
+    assert s.max_term == max(abs(float(t)) for t in terms)
+    assert [sh.label for sh in s.record] == [0, 1, 3, 4] and s.terms_used == 4
+    floats = [v for sh in s.record for v in (sh.shell_sum, sh.partial, *(t for _, t in sh.terms))]
+    assert all(type(v) is float for v in floats)
+    assert type(s.last_shell_magnitude) is float
 
 
 def test_series_results_are_real_floats():
