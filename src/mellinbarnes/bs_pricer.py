@@ -29,7 +29,7 @@ from .mellin_core import (
     select_half_plane,
     sum_residues_1d,
 )
-from .special_functions import normal_cdf, require_finite, require_positive
+from .special_functions import normal_cdf, require_finite, require_integer, require_positive
 
 __all__ = [
     "OptionContract",
@@ -185,6 +185,7 @@ def bs_series(c: OptionContract, tol: float = 1e-10, max_shells: int = 200) -> R
     result is flagged non-converged; callers should use the closed form there.
     The record holds every term as ((n, m), term).
     """
+    require_integer("max_shells", max_shells)
     require_positive("tol and max_shells", tol, max_shells)
     s = _series_sum(c, tol, max_shells, mpmath.fp)
     cond = s.max_term / max(abs(s.value), 1e-300)

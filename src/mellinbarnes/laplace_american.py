@@ -39,7 +39,7 @@ import mpmath
 from ._summation import KahanSum, sum_shells
 from .mellin_core import ResidueSeriesResult
 from .special_functions import (PoleError, pole_index, real_gamma_sign, require_finite,
-                                require_positive)
+                                require_integer, require_positive)
 
 __all__ = [
     "AmericanConstants",
@@ -454,6 +454,7 @@ def american_kernel_series(n: int, m: int, tau: float, c: AmericanConstants,
     if n < 1 or m < 1:
         raise ValueError("kernel orders n, m must be positive integers")
     require_finite("tau", tau)
+    require_integer("max_shells", max_shells)
     require_positive("tol and max_shells", tol, max_shells)
     if tau <= 0.0:
         raise ValueError("american_kernel_series requires tau > 0")

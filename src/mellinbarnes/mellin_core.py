@@ -4,9 +4,10 @@ An integrand is a ratio of Gamma factors with linear arguments times power
 prefactors ("Gamma fraction").  Its Mellin-Barnes integral along a vertical
 contour is evaluated as a residue series: the characteristic vector Delta
 (sum of numerator slopes minus denominator slopes) selects the half-plane or
-quadrant cone that supports the summation, poles are enumerated factor-wise
-from the singular series of Gamma, and residues are accumulated in a fixed
-order with compensated summation so converged results are bit-reproducible.
+quadrant cone that supports the summation, each factor's poles (the singular
+series of Gamma) are merged lazily by distance from the contour, and residues
+are accumulated in a fixed order with compensated summation so converged
+results are bit-reproducible.
 
 Only simple (net order 1) poles are supported; numerator poles cancelled by
 denominator poles contribute exactly zero and are skipped.  Orientation
@@ -17,14 +18,17 @@ signs multiply.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice, takewhile
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from ._summation import ResidueSeriesResult, sum_shells
 from .special_functions import (POLE_TOL, pole_index, real_gamma_sign, require_finite,
-                                require_positive)
+                                require_integer, require_positive)
 
 __all__ = [
     "Direction",
@@ -46,6 +50,9 @@ __all__ = [
 ]
 
 _DELTA_TOL = 1e-12
+# two pole entries at distances d <= d' may share a round(loc, 9) key only if
+# d' <= d + _KEY_GAP * (1 + d)
+_KEY_GAP = 2e-9
 
 
 class Direction(Enum):
@@ -208,20 +215,105 @@ def _side_of(loc: float, gamma: float) -> Optional[Direction]:
     return None
 
 
-def _candidate_locations_1d(f: GammaFraction, axis: int, gamma: float,
-                            direction: Direction, max_index: int) -> list:
-    """Sorted (by distance from gamma) candidate pole locations of the numerator
-    factors that are axis-parallel in `axis`, restricted to one side of gamma."""
-    cands = {}
-    for fac in f.numerator:
-        if _axis_of(fac) != axis:
+def _pole_family(i: int, a: float, b: float, gamma: float, direction: Direction,
+                 max_index: int):
+    """Entries (|loc - gamma|, loc, i, k) of the poles loc = -(k + b)/a,
+    0 <= k <= max_index, of numerator factor i that lie on `direction`'s side
+    of gamma, nearest first.  Float arithmetic is monotone in k, so the side's
+    poles form one run of indices and their distances never decrease."""
+
+    def entry(k):
+        loc = -(k + b) / a
+        return abs(loc - gamma), loc, i, k
+
+    if (a > 0) is (direction is Direction.LEFT):
+        # the poles march away from the contour: a run from the first k past it,
+        # k > -a gamma - b, corrected for POLE_TOL and rounding
+        x = -a * gamma - b
+        k = 0 if x < 0 else max_index + 1 if x >= max_index else math.floor(x) + 1
+        while k > 0 and _side_of(entry(k - 1)[1], gamma) is direction:
+            k -= 1
+        while k <= max_index and _side_of(entry(k)[1], gamma) is not direction:
+            k += 1
+        return map(entry, range(k, max_index + 1))
+    # the poles march towards the contour: a finite run, nearest last
+    run = list(takewhile(lambda e: _side_of(e[1], gamma) is direction,
+                         map(entry, range(max_index + 1))))
+    return reversed(run)
+
+
+def _pole_stream(f: GammaFraction, axis: int, gamma: float, direction: Direction,
+                 max_index: int):
+    """Candidate pole locations of the numerator factors that are axis-parallel in
+    `axis`, on one side of gamma, indices 0..max_index per factor: a heap merge of
+    the factors' runs ordered by (|loc - gamma|, loc).
+
+    Locations equal under round(loc, 9) are one pole; its float is the earliest
+    factor's, then the smallest k's.  Such floats lie within 1e-9 of each other,
+    so their distances d differ by less than _KEY_GAP * (1 + d): the merge pops
+    a cluster of entries chained by smaller gaps, which holds every float of its
+    keys, and yields the cluster's winners in order."""
+    families = {i: _pole_family(i, fac.coeffs[axis], fac.offset, gamma, direction, max_index)
+                for i, fac in enumerate(f.numerator) if _axis_of(fac) == axis}
+    heap = [e for e in (next(fam, None) for fam in families.values()) if e is not None]
+    heapq.heapify(heap)
+
+    def pop():
+        e = heap[0]
+        nxt = next(families[e[2]], None)
+        if nxt is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, nxt)
+        return e
+
+    while heap:
+        cluster = [pop()]
+        while heap and heap[0][0] <= cluster[-1][0] * (1.0 + _KEY_GAP) + _KEY_GAP:
+            cluster.append(pop())
+        if len(cluster) == 1:
+            yield cluster[0][1]
             continue
-        a = fac.coeffs[axis]
-        for k in range(max_index + 1):
-            loc = -(k + fac.offset) / a
-            if _side_of(loc, gamma) == direction:
-                cands.setdefault(round(loc, 9), loc)
-    return sorted(cands.values(), key=lambda t: (abs(t - gamma), t))
+        winners = {}
+        for d, loc, _, _ in sorted(cluster, key=itemgetter(2, 3)):
+            winners.setdefault(round(loc, 9), (d, loc))
+        for _, loc in sorted(winners.values()):
+            yield loc
+
+
+def _candidate_locations_1d(stream, count: int) -> list:
+    """The next `count` locations of a _pole_stream (fewer once it runs dry)."""
+    return list(islice(stream, count))
+
+
+class _Poles:
+    """One axis's candidate pole locations, read from its _pole_stream in chunks
+    of 16, 32, 64, ... and kept for indexing, so a series reads only as far as
+    it sums."""
+
+    __slots__ = ("locs", "done", "_stream", "_chunk")
+
+    def __init__(self, f: GammaFraction, axis: int, gamma: float, direction: Direction,
+                 max_index: int):
+        self.locs = []
+        self.done = False
+        self._stream = _pole_stream(f, axis, gamma, direction, max_index)
+        self._chunk = 16
+
+    def has(self, n: int) -> bool:
+        """True when location n exists, reading further chunks as needed."""
+        while n >= len(self.locs) and not self.done:
+            got = _candidate_locations_1d(self._stream, self._chunk)
+            self.locs.extend(got)
+            self.done = len(got) < self._chunk
+            self._chunk *= 2
+        return n < len(self.locs)
+
+    def size(self) -> int:
+        """Number of locations; drains the stream, so only for a finite side."""
+        while not self.done:
+            self.has(len(self.locs))
+        return len(self.locs)
 
 
 def _side_is_finite(f: GammaFraction, axis: int, direction: Direction) -> bool:
@@ -325,8 +417,12 @@ def enumerate_poles_1d(f: GammaFraction, direction: Direction, max_index: int,
         raise ValueError("enumerate_poles_1d applies to one-dimensional fractions")
     if direction not in (Direction.LEFT, Direction.RIGHT):
         raise ValueError("direction must be LEFT or RIGHT")
+    require_integer("max_index", max_index)
+    if max_index < 0:
+        raise ValueError(f"max_index must be at least 0, got {max_index}")
     out = []
-    for loc in _candidate_locations_1d(f, 0, contour.gamma[0], direction, max_index):
+    stream = _pole_stream(f, 0, contour.gamma[0], direction, max_index)
+    for loc in _candidate_locations_1d(stream, (max_index + 1) * len(f.numerator)):
         nm = sum(1 for fac in f.numerator if pole_index(fac.argument((loc,))) is not None)
         dm = sum(1 for fac in f.denominator if pole_index(fac.argument((loc,))) is not None)
         order = nm - dm
@@ -350,18 +446,22 @@ def sum_residues_1d(f: GammaFraction, contour: Contour, direction: Direction,
         raise ValueError("sum_residues_1d applies to one-dimensional fractions")
     if direction not in (Direction.LEFT, Direction.RIGHT):
         raise ValueError("summation direction must be LEFT or RIGHT")
+    require_integer("max_terms", max_terms)
     require_positive("tol and max_terms", tol, max_terms)
-    locs = _candidate_locations_1d(f, 0, contour.gamma[0], direction, max_terms + 8)
+    poles = _Poles(f, 0, contour.gamma[0], direction, max_terms + 8)
     orient = 1.0 if direction is Direction.LEFT else -1.0
     out_of_budget = False
 
     def shells():
         nonlocal out_of_budget
         used = 0
-        for loc in locs:
+        n = 0
+        while poles.has(n):
             if used >= max_terms:
                 out_of_budget = True
                 return
+            loc = poles.locs[n]
+            n += 1
             term = _residue_at_point(f, (loc,))
             if term != 0.0:
                 used += 1
@@ -421,31 +521,30 @@ def sum_residues_2d(f: GammaFraction, contour: Contour, cone: Cone,
     """
     if f.dim != 2 or contour.dim != 2:
         raise ValueError("sum_residues_2d applies to two-dimensional fractions")
+    require_integer("max_shells", max_shells)
     require_positive("tol and max_shells", tol, max_shells)
-    locs = [
-        _candidate_locations_1d(f, 0, contour.gamma[0], cone.faces[0], max_shells + 8),
-        _candidate_locations_1d(f, 1, contour.gamma[1], cone.faces[1], max_shells + 8),
-    ]
+    p1 = _Poles(f, 0, contour.gamma[0], cone.faces[0], max_shells + 8)
+    p2 = _Poles(f, 1, contour.gamma[1], cone.faces[1], max_shells + 8)
     orient = 1.0
     for face in cone.faces:
         orient *= 1.0 if face is Direction.LEFT else -1.0
 
-    n1, n2 = len(locs[0]), len(locs[1])
-    shell_cap = min(max_shells, n1 + n2 - 1)
-
     def shells():
-        for shell in range(shell_cap):
-            pairs = []
-            for k1 in range(shell + 1):
-                k2 = shell - k1
-                if k1 < n1 and k2 < n2:
-                    term = _residue_at_point(f, (locs[0][k1], locs[1][k2]))
-                    pairs.append(((k1, k2), orient * term))
-            yield shell, pairs
+        for shell in range(max_shells):
+            # with both sides read through index `shell`, a side shorter than
+            # shell + 1 is exhausted and its length is its whole count
+            p1.has(shell)
+            p2.has(shell)
+            n1, n2 = len(p1.locs), len(p2.locs)
+            if shell > n1 + n2 - 2:
+                return  # no lattice point at this shell or beyond
+            yield shell, [((k1, shell - k1),
+                           orient * _residue_at_point(f, (p1.locs[k1], p2.locs[shell - k1])))
+                          for k1 in range(max(0, shell - n2 + 1), min(shell, n1 - 1) + 1)]
 
     s = sum_shells(shells(), tol)
-    if (s.exhausted and shell_cap == n1 + n2 - 1
-            and _side_is_finite(f, 0, cone.faces[0]) and _side_is_finite(f, 1, cone.faces[1])):
+    if (s.exhausted and _side_is_finite(f, 0, cone.faces[0])
+            and _side_is_finite(f, 1, cone.faces[1]) and p1.size() + p2.size() - 1 <= max_shells):
         # the whole (finite) intersection lattice has been summed
         return replace(s, converged=True, last_shell_magnitude=0.0)
     return s

@@ -15,6 +15,7 @@ __all__ = [
     "pole_index",
     "real_gamma_sign",
     "require_finite",
+    "require_integer",
     "require_positive",
 ]
 
@@ -56,6 +57,14 @@ def require_finite(what: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"{what} must be finite, got {v}")
+
+
+def require_integer(what: str, *values) -> None:
+    """Raise ValueError, naming `what`, unless every value is an integer: anything
+    operator.index accepts (int, numpy integers) except bool."""
+    for v in values:
+        if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+            raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
 def require_positive(what: str, *values: float) -> None:

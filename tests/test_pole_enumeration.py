@@ -1,0 +1,173 @@
+"""The lazy pole enumerator against the eager one it replaced, the work a
+series pays for its poles, and the 2-D finite-lattice rules that depend on
+how far each axis has been read."""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mellinbarnes import mellin_core
+from mellinbarnes.fractional_green import FractionalDiffusionParams, green_fraction
+from mellinbarnes.mellin_core import (
+    Cone,
+    Contour,
+    Direction,
+    GammaFraction,
+    GammaLinearFactor,
+    PowerFactor,
+    _axis_of,
+    _pole_stream,
+    _side_of,
+    compatible_cone_2d,
+    sum_residues_1d,
+    sum_residues_2d,
+)
+from mellinbarnes.special_functions import POLE_TOL
+
+LEFT, RIGHT = Direction.LEFT, Direction.RIGHT
+
+
+def eager_locations(f, axis, gamma, direction, max_index):
+    """The reference: every candidate of every factor, de-duplicated on
+    round(loc, 9) with the first factor's and then the first index's float
+    kept, sorted by (distance from gamma, location)."""
+    cands = {}
+    for fac in f.numerator:
+        if _axis_of(fac) != axis:
+            continue
+        a = fac.coeffs[axis]
+        for k in range(max_index + 1):
+            loc = -(k + fac.offset) / a
+            if _side_of(loc, gamma) == direction:
+                cands.setdefault(round(loc, 9), loc)
+    return sorted(cands.values(), key=lambda t: (abs(t - gamma), t))
+
+
+def hexes(f, gamma, direction, max_index):
+    eager = [t.hex() for t in eager_locations(f, 0, gamma, direction, max_index)]
+    lazy = [t.hex() for t in _pole_stream(f, 0, gamma, direction, max_index)]
+    return eager, lazy
+
+
+SLOPES = st.one_of(
+    st.sampled_from([1.0, -1.0, 2.0, -3.0]),
+    st.builds(lambda n, s: s / n, st.integers(2, 9), st.sampled_from([1.0, -1.0])),
+    st.sampled_from([math.sqrt(2.0), -math.pi, math.e / 3.0, 1.0 / 1.3, -0.3 / 1.3]),
+    st.floats(0.05, 4.0).flatmap(lambda a: st.sampled_from([a, -a])),
+)
+OFFSETS = st.one_of(st.integers(-4, 6).map(float), st.floats(-5.0, 5.0))
+FACTORS = st.lists(st.builds(lambda a, b: GammaLinearFactor((a,), b), SLOPES, OFFSETS),
+                   min_size=1, max_size=3)
+
+
+@st.composite
+def contours(draw, factors):
+    if draw(st.booleans()):
+        return draw(st.floats(-8.0, 8.0))
+    # at, or within a few POLE_TOL of, one of the poles
+    fac = draw(st.sampled_from(factors))
+    k = draw(st.integers(0, 12))
+    shift = draw(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0])) * POLE_TOL
+    return -(k + fac.offset) / fac.coeffs[0] + shift
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_lazy_stream_matches_the_eager_enumeration(data):
+    factors = data.draw(FACTORS)
+    gamma = data.draw(contours(factors))
+    direction = data.draw(st.sampled_from([LEFT, RIGHT]))
+    max_index = data.draw(st.one_of(st.integers(0, 3), st.integers(0, 500)))
+    eager, lazy = hexes(GammaFraction(numerator=tuple(factors)), gamma, direction, max_index)
+    assert lazy == eager
+
+
+def test_rounding_collisions_keep_the_first_factors_float():
+    # the stable alpha = 1.3, theta = 0.3 Green fraction at budget 2000: on the
+    # right of its contour, floats of different factors share a round(loc, 9) key
+    f = green_fraction(FractionalDiffusionParams(1.3, 1.0, 0.3, 1.0), 0.8)
+    floats = {}
+    for fac in f.numerator:
+        for k in range(2009):
+            loc = -(k + fac.offset) / fac.coeffs[0]
+            if _side_of(loc, 0.5) is RIGHT:
+                floats.setdefault(round(loc, 9), set()).add(loc)
+    assert sum(len(v) > 1 for v in floats.values()) == 113
+    for direction in (LEFT, RIGHT):
+        eager, lazy = hexes(f, 0.5, direction, 2008)
+        assert lazy == eager
+
+
+def _counting(monkeypatch):
+    """Count the candidates the series read through _candidate_locations_1d."""
+    pulled = []
+    real = mellin_core._candidate_locations_1d
+
+    def wrapper(stream, count):
+        out = real(stream, count)
+        pulled.append(len(out))
+        return out
+
+    monkeypatch.setattr(mellin_core, "_candidate_locations_1d", wrapper)
+    return pulled
+
+
+def test_1d_work_follows_the_terms_not_the_budget(monkeypatch):
+    f = GammaFraction(numerator=(GammaLinearFactor((1.0,), 0.0),),
+                      powers=(PowerFactor(2.0, (-1.0,), 0.0),))
+    small = sum_residues_1d(f, Contour((1.0,)), LEFT, max_terms=400)
+    pulled = _counting(monkeypatch)
+    big = sum_residues_1d(f, Contour((1.0,)), LEFT, max_terms=10**6)
+    assert small.terms_used == 23 and small.converged
+    assert (big.value.hex(), big.terms_used, big.converged) == (
+        small.value.hex(), small.terms_used, small.converged)
+    assert 0 < sum(pulled) < 2 * big.terms_used + 16
+
+
+def test_2d_work_follows_the_shells_not_the_budget(monkeypatch):
+    f = GammaFraction(
+        numerator=(GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1.0), 0.0)),
+        powers=(PowerFactor(1.0, (-1.0, 0.0), 0.0), PowerFactor(1.0, (0.0, -1.0), 0.0)))
+    cont = Contour((1.0, 1.0))
+    cone = compatible_cone_2d(f, cont)
+    small = sum_residues_2d(f, cont, cone, tol=1e-14, max_shells=400)
+    pulled = _counting(monkeypatch)
+    big = sum_residues_2d(f, cont, cone, tol=1e-14, max_shells=10**5)
+    assert small.converged
+    assert (big.value.hex(), big.terms_used, big.converged) == (
+        small.value.hex(), small.terms_used, small.converged)
+    assert 0 < sum(pulled) < 2 * big.terms_used + 16
+
+
+def _lattice(second):
+    # Gamma(3 - z1): poles z1 = 3, 4, ... march right, so 7 lie left of z1 = 10
+    return GammaFraction(numerator=(GammaLinearFactor((-1.0, 0.0), 3.0), second),
+                         powers=(PowerFactor(1.5, (-1.0, 0.0), 0.0),
+                                 PowerFactor(0.7, (0.0, -1.0), 0.0)))
+
+
+# Gamma(2 - z2) leaves 4 poles left of z2 = 5.5: a 7 x 4 lattice, shells 0..9,
+# so n1 + n2 - 1 = 10; Gamma(z2) has infinitely many left of z2 = 0.5.
+# (max_shells, converged, exhausted, terms_used, value) as computed by the
+# eager enumerator, at a tol no term reaches
+FINITE = _lattice(GammaLinearFactor((0.0, -1.0), 2.0))
+HALF_INFINITE = _lattice(GammaLinearFactor((0.0, 1.0), 0.0))
+LATTICE_CASES = [
+    (FINITE, (10.0, 5.5), 9, False, True, 27, "-0x1.24c2ea7a2a08fp-1"),
+    (FINITE, (10.0, 5.5), 10, True, True, 28, "0x1.0d6877e7b99d0p-5"),
+    (FINITE, (10.0, 5.5), 11, True, True, 28, "0x1.0d6877e7b99d0p-5"),
+    (HALF_INFINITE, (10.0, 0.5), 10, False, True, 49, "-0x1.29c08d97e3dcep-4"),
+    (HALF_INFINITE, (10.0, 0.5), 12, False, True, 63, "-0x1.353c3b4f1a69ap-4"),
+    (HALF_INFINITE, (10.0, 0.5), 400, True, False, 1134, "-0x1.356d89759c78bp-4"),
+]
+
+
+@pytest.mark.parametrize("f, gamma, max_shells, converged, exhausted, terms, value",
+                         LATTICE_CASES)
+def test_2d_finite_lattice_edges_are_pinned(f, gamma, max_shells, converged, exhausted,
+                                            terms, value):
+    res = sum_residues_2d(f, Contour(gamma), Cone((LEFT, LEFT)), tol=1e-300,
+                          max_shells=max_shells)
+    assert (res.converged, res.exhausted, res.terms_used, res.value.hex()) == (
+        converged, exhausted, terms, value)

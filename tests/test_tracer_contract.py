@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps library functions by
-name and reads some of their call parameters to count work.  Renaming one of
-those functions or parameters makes a layer read as absent, so both are
-checked here, with the tracer module loaded from its file as it is."""
+name and reads some of their call parameters and results to count work.
+Renaming one of those functions or parameters makes a layer read as absent,
+and a result its counter cannot measure fails every traced request, so all
+three are checked here, with the tracer module loaded from its file as it is."""
 
 import importlib
 import importlib.util
@@ -37,3 +38,25 @@ def test_counted_parameters_exist():
     assert tracing._symbol_evals(la.vertical_inverse, (None, 1.0), {"mu": 1.0}, None) == {
         "symbol_evals": 160 * 1 * 24}
     assert tracing._talbot_nodes(la.talbot_inverse, (None, 1.0), {}, None) == {"nodes": 48}
+
+
+def test_candidate_counter_reads_what_real_sums_return():
+    tracing = _load_tracing()
+    mc = importlib.import_module("mellinbarnes.mellin_core")
+    bd = next(b for b in tracing.BOUNDARIES if b.attr == "_candidate_locations_1d")
+    tracer = tracing.Tracer(boundaries=(bd,)).install()
+    try:
+        one = mc.GammaFraction(numerator=(mc.GammaLinearFactor((1.0,), 0.0),),
+                               powers=(mc.PowerFactor(2.0, (-1.0,), 0.0),))
+        res = mc.sum_residues_1d(one, mc.Contour((1.0,)), mc.Direction.LEFT)
+        two = mc.GammaFraction(
+            numerator=(mc.GammaLinearFactor((1.0, 0.0), 0.0), mc.GammaLinearFactor((0.0, 1.0), 0.0)),
+            powers=(mc.PowerFactor(1.0, (-1.0, 0.0), 0.0), mc.PowerFactor(1.0, (0.0, -1.0), 0.0)))
+        cont = mc.Contour((1.0, 1.0))
+        res2 = mc.sum_residues_2d(two, cont, mc.compatible_cone_2d(two, cont))
+        tracer.end_request()
+    finally:
+        tracer.remove()
+    assert res.converged and res2.converged
+    assert tracer.present == [True] and tracer.calls[0] >= 3
+    assert tracer.counts[f"{bd.layer}.candidates"] > res.terms_used

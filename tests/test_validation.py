@@ -1,12 +1,13 @@
-"""Non-finite input, and a tolerance or term budget that is not positive, is
-rejected with ValueError at every public entry point, and with exit code 2 by
-the CLI."""
+"""Non-finite input, a tolerance that is not positive and a term budget that
+is not an integer >= 1 are rejected with ValueError at every public entry
+point, and with exit code 2 by the CLI."""
 
 import math
 
+import numpy as np
 import pytest
 
-from mellinbarnes.bs_pricer import OptionContract, bs_series, heat_kernel
+from mellinbarnes.bs_pricer import OptionContract, bs_series, heat_kernel, heat_kernel_mb
 from mellinbarnes.cli import main
 from mellinbarnes.fractional_green import FractionalDiffusionParams, green_fractional_series
 from mellinbarnes.laplace_american import (
@@ -31,6 +32,7 @@ from mellinbarnes.mellin_core import (
     GammaLinearFactor,
     PowerFactor,
     compatible_cone_2d,
+    enumerate_poles_1d,
     sum_residues_1d,
     sum_residues_2d,
 )
@@ -102,6 +104,19 @@ ENTRY_POINTS = {
     "green_tol_nan": lambda: green_fractional_series(0.5, 1.0, GAUSS, tol=NAN),
     "green_max_terms_zero": lambda: green_fractional_series(0.5, 1.0, GAUSS, max_terms=0),
     "vertical_panels_zero": lambda: vertical_inverse(lambda p: 1 / p, 1.0, mu=1.0, panels=0),
+    # a budget is an integer (not a bool); a pole index bound may be 0
+    "sum_1d_max_terms_fractional": lambda: _sum_1d(max_terms=2.5),
+    "sum_1d_max_terms_float": lambda: _sum_1d(max_terms=1e9),
+    "sum_1d_max_terms_bool": lambda: _sum_1d(max_terms=True),
+    "sum_2d_max_shells_fractional": lambda: _sum_2d(max_shells=2.5),
+    "sum_2d_max_shells_bool": lambda: _sum_2d(max_shells=True),
+    "green_max_terms_fractional": lambda: green_fractional_series(0.5, 1.0, GAUSS, max_terms=2.5),
+    "heat_kernel_mb_max_terms_float": lambda: heat_kernel_mb(1.0, 1.0, 0.3, max_terms=1e9),
+    "bs_series_max_shells_fractional": lambda: bs_series(CONTRACT, max_shells=2.5),
+    "kernel_series_max_shells_float": lambda: american_kernel_series(2, 1, 0.5, CONSTS,
+                                                                     max_shells=4.0),
+    "enumerate_max_index_negative": lambda: enumerate_poles_1d(EXP, Direction.LEFT, -3, C1),
+    "enumerate_max_index_fractional": lambda: enumerate_poles_1d(EXP, Direction.LEFT, 2.5, C1),
 }
 
 
@@ -109,6 +124,12 @@ ENTRY_POINTS = {
 def test_non_finite_input_raises_value_error(name):
     with pytest.raises(ValueError):
         ENTRY_POINTS[name]()
+
+
+def test_integer_budgets_of_any_index_type_are_accepted():
+    assert _sum_1d(max_terms=np.int64(40)).value == _sum_1d(max_terms=40).value
+    assert _sum_2d(max_shells=np.int32(30)).value == _sum_2d(max_shells=30).value
+    assert enumerate_poles_1d(EXP, Direction.LEFT, 0, C1) == [(0.0, 1)]
 
 
 @pytest.mark.parametrize("argv", [
