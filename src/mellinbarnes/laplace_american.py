@@ -266,6 +266,7 @@ def vertical_inverse(func: Callable, x: float, mu: float, panels: int = _PANELS,
     that the result is finite.
     """
     require_finite("vertical_inverse", x, mu)
+    require_integer("panels", panels)
     require_positive("panels", panels)
     if x <= 0.0:
         raise ValueError("vertical_inverse requires x > 0")

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice, takewhile
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Optional, Sequence
 
 from ._summation import ResidueSeriesResult, sum_shells
@@ -201,9 +201,11 @@ def select_half_plane(delta: float) -> Direction:
     return Direction.BOTH
 
 
-def _axis_of(fac: GammaLinearFactor) -> Optional[int]:
-    """Index of the single nonzero coefficient, or None if the factor is diagonal."""
-    nz = [j for j, c in enumerate(fac.coeffs) if c != 0.0]
+def _axis_of(fac) -> Optional[int]:
+    """Index of the single nonzero coefficient of a Gamma factor or a power, or
+    None if it is diagonal (or the power is constant)."""
+    cs = fac.exponent_coeffs if isinstance(fac, PowerFactor) else fac.coeffs
+    nz = [j for j, c in enumerate(cs) if c != 0.0]
     return nz[0] if len(nz) == 1 else None
 
 
@@ -286,19 +288,19 @@ def _candidate_locations_1d(stream, count: int) -> list:
     return list(islice(stream, count))
 
 
-class _Poles:
-    """One axis's candidate pole locations, read from its _pole_stream in chunks
-    of 16, 32, 64, ... and kept for indexing, so a series reads only as far as
-    it sums."""
+class _Poles(dict):
+    """One axis of a _ResiduePlan: its candidate pole locations `locs`, and
+    their records by position, each built when first read.  A series reads the
+    locations from the axis's _pole_stream in chunks of 16, 32, 64, ..., so it
+    reads only as far as it sums; other callers give them whole.  `num` and
+    `den` hold (coefficient, offset) of the axis's numerator and denominator
+    factors, `pw` (coefficient, offset, log base) of its powers."""
 
-    __slots__ = ("locs", "done", "_stream", "_chunk")
+    __slots__ = ("locs", "done", "num", "den", "pw", "_stream", "_chunk")
 
-    def __init__(self, f: GammaFraction, axis: int, gamma: float, direction: Direction,
-                 max_index: int):
-        self.locs = []
-        self.done = False
-        self._stream = _pole_stream(f, axis, gamma, direction, max_index)
-        self._chunk = 16
+    def __init__(self, stream=None, locs: Sequence = ()):
+        self.locs, self.done, self._stream, self._chunk = list(locs), stream is None, stream, 16
+        self.num, self.den, self.pw = [], [], []
 
     def has(self, n: int) -> bool:
         """True when location n exists, reading further chunks as needed."""
@@ -315,91 +317,127 @@ class _Poles:
             self.has(len(self.locs))
         return len(self.locs)
 
+    def finite(self, direction: Direction) -> bool:
+        """True when every pole family of this axis marches away from the side:
+        the candidate list is then the complete pole set on that side."""
+        return all((a > 0) is not (direction is Direction.LEFT) for a, _ in self.num)
 
-def _side_is_finite(f: GammaFraction, axis: int, direction: Direction) -> bool:
-    """True when every pole family of this variable marches away from the side:
-    the candidate list is then the complete pole set on that side."""
-    for fac in f.numerator:
-        if _axis_of(fac) == axis:
-            ray = Direction.LEFT if fac.coeffs[axis] > 0 else Direction.RIGHT
-            if ray == direction:
-                return False
-    return True
+    def __missing__(self, n: int) -> list:
+        rec = self[n] = self._build(self.locs[n])
+        return rec
 
-
-def _residue_at_point(f: GammaFraction, point: Sequence[float]) -> float:
-    """Residue of the full integrand at an isolated lattice point (any dim in {1,2}).
-
-    Per variable: exactly one net singular numerator factor acts as residue
-    carrier; remaining singular numerator factors pair exactly against singular
-    denominator factors (finite Gamma-ratio limits).  A singular diagonal
-    denominator factor is a zero of the integrand: the residue is 0.  Returns 0
-    for cancelled points; raises PoleOrderError when the net order exceeds 1.
-    """
-    d = f.dim
-    sing_num = [[] for _ in range(d)]
-    regular_num = []
-    for fac in f.numerator:
-        arg = fac.argument(point)
-        k = pole_index(arg)
-        if k is None:
-            regular_num.append(fac)
-            continue
-        axis = _axis_of(fac)
-        if axis is None:
-            raise PoleOrderError("diagonal numerator factor singular at the point "
-                                 "(non-transverse intersection is unsupported)")
-        sing_num[axis].append((fac, k))
-
-    sing_den = [[] for _ in range(d)]
-    regular_den = []
-    for fac in f.denominator:
-        arg = fac.argument(point)
-        k = pole_index(arg)
-        if k is None:
-            regular_den.append(fac)
-            continue
-        axis = _axis_of(fac)
-        if axis is None:
-            # a zero of the full integrand at the lattice point
-            return 0.0
-        sing_den[axis].append((fac, k))
-
-    # the integrand is real on the lattice: accumulate sign and log-magnitude
-    sign, logmag = 1.0, 0.0
-    for axis in range(d):
-        net = len(sing_num[axis]) - len(sing_den[axis])
-        if net <= 0:
-            return 0.0
-        if net > 1:
-            raise PoleOrderError(
-                f"net pole order {net} in variable {axis} at {tuple(point)}; "
-                "only simple poles are supported")
-        if d > 1 and not sing_num[axis]:
-            return 0.0
-        carrier, kc = sing_num[axis][0]
-        a = carrier.coeffs[axis]
-        # residue of Gamma(a z + b) in z at the pole: (-1)^k / (k! a)
-        sign *= (-1.0 if kc % 2 else 1.0) * math.copysign(1.0, a)
-        logmag += -math.lgamma(kc + 1) - math.log(abs(a))
-        for (nf, kn), (df, kd) in zip(sing_num[axis][1:], sing_den[axis]):
-            an, ad = nf.coeffs[axis], df.coeffs[axis]
+    def _build(self, x: float) -> list:
+        args, sing_num, sing_den = [], [], []
+        for s, facs, sing in ((1.0, self.num, sing_num), (-1.0, self.den, sing_den)):
+            for a, b in facs:
+                k = pole_index(t := a * x + b)
+                args.append((s, t, k))
+                if k is not None:
+                    sing.append((a, k))
+        if len(sing_num) - len(sing_den) != 1:
+            return [len(sing_num) - len(sing_den)]
+        # one singular numerator factor carries the residue, (-1)^k / (k! a) for
+        # Gamma(a z + b); the others pair against the singular denominator factors
+        a, kc = sing_num[0]
+        sign = (-1.0 if kc % 2 else 1.0) * math.copysign(1.0, a)
+        rec = [1, 0.0, -math.lgamma(kc + 1) - math.log(abs(a))]
+        for (an, kn), (ad, kd) in zip(sing_num[1:], sing_den):
             # exact limit of Gamma(a_n z+b_n)/Gamma(a_d z+b_d) at the shared pole
             sign *= (-1.0 if (kn + kd) % 2 else 1.0) * math.copysign(1.0, an * ad)
-            logmag += (math.lgamma(kd + 1) - math.lgamma(kn + 1)
+            rec.append(math.lgamma(kd + 1) - math.lgamma(kn + 1)
                        + math.log(abs(ad)) - math.log(abs(an)))
+        rec += [0.0] * (len(self.den) - len(sing_den))
+        for s, t, k in args:
+            if k is None:
+                sign *= real_gamma_sign(t)
+                rec.append(s * math.lgamma(t))
+            else:
+                rec.append(0.0)
+        for c, e, lb in self.pw:
+            rec.append((c * x + e) * lb)
+        rec[1] = sign
+        return rec
 
-    for fac in regular_num:
-        arg = fac.argument(point)
-        sign *= real_gamma_sign(arg)
-        logmag += math.lgamma(arg)
-    for fac in regular_den:
-        arg = fac.argument(point)
-        sign *= real_gamma_sign(arg)
-        logmag -= math.lgamma(arg)
-    for p in f.powers:
-        logmag += p.exponent(point) * math.log(p.base)
-    return f.constant * (sign * math.exp(logmag))
+
+class _ResiduePlan:
+    """A Gamma fraction compiled for residues on its pole lattice.
+
+    A residue is a sign times exp(logmag).  An axis-parallel factor or power
+    adds to logmag a term of one coordinate, so each (axis, pole) has one
+    record: [net order, sign, carrier addend, pair addends padded with 0.0 to
+    one per denominator factor of the axis, one addend per numerator factor,
+    denominator factor and power of the axis (0.0 if singular)], or [net
+    order] when that is not 1.  A point adds its records' addends in the order
+    carriers and pairs per axis, numerator, denominator, powers: adding 0.0
+    changes no sum, so this is the float that adding factor by factor gives.
+    Diagonal factors and powers are evaluated per point.
+    """
+
+    __slots__ = ("axes", "constant", "num_axes", "diag", "order")
+
+    def __init__(self, f: GammaFraction, axes: Optional[list] = None):
+        d = f.dim
+        self.axes = [_Poles() for _ in range(d)] if axes is None else axes
+        self.constant = f.constant
+        self.num_axes = [_axis_of(fac) for fac in f.numerator]  # None: diagonal
+        self.diag = []  # (s, factor): s = 1.0 numerator, -1.0 denominator, 0.0 power
+        placed = []  # the axis of each factor and power, d if diagonal
+        for s, facs in ((1.0, f.numerator), (-1.0, f.denominator), (0.0, f.powers)):
+            for fac in facs:
+                j = _axis_of(fac)
+                placed.append(d if j is None else j)
+                if j is None:
+                    self.diag.append((s, fac))
+                elif s:
+                    ax = self.axes[j]
+                    (ax.num if s > 0 else ax.den).append((fac.coeffs[j], fac.offset))
+                else:
+                    self.axes[j].pw.append((fac.exponent_coeffs[j], fac.exponent_offset,
+                                            math.log(fac.base)))
+        # (axis, slot) of every addend in accumulation order; axis d is the list
+        # of a point's diagonal addends
+        self.order = [(j, 2 + i) for j, ax in enumerate(self.axes) for i in range(1 + len(ax.den))]
+        fill = [3 + len(ax.den) for ax in self.axes] + [0]
+        for j in placed:
+            self.order.append((j, fill[j]))
+            fill[j] += 1
+
+
+def _residue_at_point(plan, point: Sequence) -> float:
+    """Residue of the full integrand at a lattice point: one pole position per
+    axis of a _ResiduePlan, or the point's coordinates when `plan` is a
+    GammaFraction (a one-use plan is then built).  Cancelled points and
+    singular diagonal denominator factors give 0; a net order above 1 or a
+    singular diagonal numerator factor raises PoleOrderError."""
+    if isinstance(plan, GammaFraction):
+        plan, point = _ResiduePlan(plan, [_Poles(locs=(x,)) for x in point]), (0,) * len(point)
+    rs = list(map(getitem, plan.axes, point))
+    z = [ax.locs[n] for ax, n in zip(plan.axes, point)] if plan.diag else None
+    # the integrand is real on the lattice: accumulate sign and log-magnitude
+    sign, dg = 1.0, []
+    for s, fac in plan.diag:
+        if not s:
+            dg.append(fac.exponent(z) * math.log(fac.base))
+        elif pole_index(t := fac.argument(z)) is None:
+            sign *= real_gamma_sign(t)
+            dg.append(s * math.lgamma(t))
+        elif s > 0:
+            raise PoleOrderError("diagonal numerator factor singular at the point "
+                                 "(non-transverse intersection is unsupported)")
+        else:
+            return 0.0
+    for j, r in enumerate(rs):
+        if r[0] != 1:
+            if r[0] <= 0:
+                return 0.0
+            raise PoleOrderError(f"net pole order {r[0]} in variable {j} at point "
+                                 f"{tuple(ax.locs[n] for ax, n in zip(plan.axes, point))}")
+        sign *= r[1]
+    rs.append(dg)
+    logmag = 0.0
+    for j, i in plan.order:
+        logmag += rs[j][i]
+    return plan.constant * (sign * math.exp(logmag))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +460,10 @@ def enumerate_poles_1d(f: GammaFraction, direction: Direction, max_index: int,
         raise ValueError(f"max_index must be at least 0, got {max_index}")
     out = []
     stream = _pole_stream(f, 0, contour.gamma[0], direction, max_index)
-    for loc in _candidate_locations_1d(stream, (max_index + 1) * len(f.numerator)):
-        nm = sum(1 for fac in f.numerator if pole_index(fac.argument((loc,))) is not None)
-        dm = sum(1 for fac in f.denominator if pole_index(fac.argument((loc,))) is not None)
-        order = nm - dm
+    locs = _candidate_locations_1d(stream, (max_index + 1) * len(f.numerator))
+    plan = _ResiduePlan(f, [_Poles(locs=locs)])
+    for n, loc in enumerate(locs):
+        order = plan.axes[0][n][0]
         if order > 1:
             raise PoleOrderError(f"coincident numerator poles at {loc} (net order {order})")
         out.append((loc, max(order, 0)))
@@ -448,7 +486,8 @@ def sum_residues_1d(f: GammaFraction, contour: Contour, direction: Direction,
         raise ValueError("summation direction must be LEFT or RIGHT")
     require_integer("max_terms", max_terms)
     require_positive("tol and max_terms", tol, max_terms)
-    poles = _Poles(f, 0, contour.gamma[0], direction, max_terms + 8)
+    poles = _Poles(_pole_stream(f, 0, contour.gamma[0], direction, max_terms + 8))
+    plan = _ResiduePlan(f, [poles])
     orient = 1.0 if direction is Direction.LEFT else -1.0
     out_of_budget = False
 
@@ -461,14 +500,15 @@ def sum_residues_1d(f: GammaFraction, contour: Contour, direction: Direction,
                 out_of_budget = True
                 return
             loc = poles.locs[n]
+            term = _residue_at_point(plan, (n,))
+            del poles[n]  # a 1-D record serves one point
             n += 1
-            term = _residue_at_point(f, (loc,))
             if term != 0.0:
                 used += 1
             yield loc, [(loc, orient * term)]
 
     s = sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit)
-    if s.exhausted and not out_of_budget and _side_is_finite(f, 0, direction):
+    if s.exhausted and not out_of_budget and poles.finite(direction):
         # every pole on this side has been summed: the tail is exactly empty
         return replace(s, converged=True, last_shell_magnitude=0.0)
     return s
@@ -487,14 +527,13 @@ def compatible_cone_2d(f: GammaFraction, contour: Contour) -> Cone:
     """
     if f.dim != 2 or contour.dim != 2:
         raise ValueError("compatible_cone_2d applies to two-dimensional fractions")
-    for fac in f.numerator:
-        if _axis_of(fac) is None:
+    plan = _ResiduePlan(f)
+    for fac, axis in zip(f.numerator, plan.num_axes):
+        if axis is None:
             raise NoCompatibleConeError(
                 "numerator divisor family is not axis-parallel; "
                 "no quadrant cone is compatible - supply a custom cone")
-        axis = _axis_of(fac)
-        arg = fac.argument(contour.gamma)
-        if pole_index(arg) is not None:
+        if pole_index(fac.argument(contour.gamma)) is not None:
             raise ContourOnDivisorError(
                 f"contour lies on a divisor of factor {fac} in variable {axis}")
 
@@ -504,8 +543,7 @@ def compatible_cone_2d(f: GammaFraction, contour: Contour) -> Cone:
         side = select_half_plane(delta[j])
         if side is Direction.BOTH:
             # free face: prefer the side where this variable's pole families live
-            sides = {Direction.LEFT if fac.coeffs[j] > 0 else Direction.RIGHT
-                     for fac in f.numerator if _axis_of(fac) == j}
+            sides = {Direction.LEFT if a > 0 else Direction.RIGHT for a, _ in plan.axes[j].num}
             side = sides.pop() if len(sides) == 1 else Direction.LEFT
         faces.append(side)
     return Cone(faces=tuple(faces))
@@ -523,8 +561,9 @@ def sum_residues_2d(f: GammaFraction, contour: Contour, cone: Cone,
         raise ValueError("sum_residues_2d applies to two-dimensional fractions")
     require_integer("max_shells", max_shells)
     require_positive("tol and max_shells", tol, max_shells)
-    p1 = _Poles(f, 0, contour.gamma[0], cone.faces[0], max_shells + 8)
-    p2 = _Poles(f, 1, contour.gamma[1], cone.faces[1], max_shells + 8)
+    p1, p2 = (_Poles(_pole_stream(f, j, contour.gamma[j], cone.faces[j], max_shells + 8))
+              for j in range(2))
+    plan = _ResiduePlan(f, [p1, p2])
     orient = 1.0
     for face in cone.faces:
         orient *= 1.0 if face is Direction.LEFT else -1.0
@@ -539,12 +578,12 @@ def sum_residues_2d(f: GammaFraction, contour: Contour, cone: Cone,
             if shell > n1 + n2 - 2:
                 return  # no lattice point at this shell or beyond
             yield shell, [((k1, shell - k1),
-                           orient * _residue_at_point(f, (p1.locs[k1], p2.locs[shell - k1])))
+                           orient * _residue_at_point(plan, (k1, shell - k1)))
                           for k1 in range(max(0, shell - n2 + 1), min(shell, n1 - 1) + 1)]
 
     s = sum_shells(shells(), tol)
-    if (s.exhausted and _side_is_finite(f, 0, cone.faces[0])
-            and _side_is_finite(f, 1, cone.faces[1]) and p1.size() + p2.size() - 1 <= max_shells):
+    if (s.exhausted and p1.finite(cone.faces[0]) and p2.finite(cone.faces[1])
+            and p1.size() + p2.size() - 1 <= max_shells):
         # the whole (finite) intersection lattice has been summed
         return replace(s, converged=True, last_shell_magnitude=0.0)
     return s

@@ -68,8 +68,8 @@ def require_integer(what: str, *values) -> None:
 
 
 def require_positive(what: str, *values: float) -> None:
-    """Raise ValueError, naming `what`, unless every value is finite and > 0
-    (for an integer budget: at least 1)."""
+    """Raise ValueError, naming `what`, unless every value is finite and > 0;
+    an integer (of any size: it is never made a float) must be at least 1."""
     for v in values:
-        if not (math.isfinite(v) and v > 0):
+        if not (v >= 1 if hasattr(type(v), "__index__") else math.isfinite(v) and v > 0):
             raise ValueError(f"{what} must be finite and positive, got {v}")

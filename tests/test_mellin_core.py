@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mellinbarnes import mellin_core
 from mellinbarnes._summation import sum_shells
 from mellinbarnes.bs_pricer import OptionContract, bs_series
 from mellinbarnes.fractional_green import (FractionalDiffusionParams, green_fraction,
@@ -27,6 +29,7 @@ from mellinbarnes.mellin_core import (
     sum_residues_1d,
     sum_residues_2d,
 )
+from mellinbarnes.special_functions import pole_index, real_gamma_sign
 
 
 def gamma_z(x):
@@ -185,6 +188,179 @@ def test_residue_bits_are_pinned():
     got = [tuple(_residue_at_point(g, (-float(n), -float(m))).hex()
                  for m in range(6)) for n in range(6)]
     assert got == EXP2D_RESIDUE_BITS
+
+
+def reference_residue(f, point):
+    """The reference: the residue worked out factor by factor at the point, as
+    before the residue plan."""
+
+    def axis_of(fac):
+        nz = [j for j, c in enumerate(fac.coeffs) if c != 0.0]
+        return nz[0] if len(nz) == 1 else None
+
+    d = f.dim
+    sing_num = [[] for _ in range(d)]
+    regular_num = []
+    for fac in f.numerator:
+        arg = fac.argument(point)
+        k = pole_index(arg)
+        if k is None:
+            regular_num.append(fac)
+            continue
+        axis = axis_of(fac)
+        if axis is None:
+            raise PoleOrderError("diagonal numerator factor singular at the point")
+        sing_num[axis].append((fac, k))
+
+    sing_den = [[] for _ in range(d)]
+    regular_den = []
+    for fac in f.denominator:
+        arg = fac.argument(point)
+        k = pole_index(arg)
+        if k is None:
+            regular_den.append(fac)
+            continue
+        axis = axis_of(fac)
+        if axis is None:
+            return 0.0
+        sing_den[axis].append((fac, k))
+
+    sign, logmag = 1.0, 0.0
+    for axis in range(d):
+        net = len(sing_num[axis]) - len(sing_den[axis])
+        if net <= 0:
+            return 0.0
+        if net > 1:
+            raise PoleOrderError(f"net pole order {net}")
+        carrier, kc = sing_num[axis][0]
+        a = carrier.coeffs[axis]
+        sign *= (-1.0 if kc % 2 else 1.0) * math.copysign(1.0, a)
+        logmag += -math.lgamma(kc + 1) - math.log(abs(a))
+        for (nf, kn), (df, kd) in zip(sing_num[axis][1:], sing_den[axis]):
+            an, ad = nf.coeffs[axis], df.coeffs[axis]
+            sign *= (-1.0 if (kn + kd) % 2 else 1.0) * math.copysign(1.0, an * ad)
+            logmag += (math.lgamma(kd + 1) - math.lgamma(kn + 1)
+                       + math.log(abs(ad)) - math.log(abs(an)))
+
+    for fac in regular_num:
+        arg = fac.argument(point)
+        sign *= real_gamma_sign(arg)
+        logmag += math.lgamma(arg)
+    for fac in regular_den:
+        arg = fac.argument(point)
+        sign *= real_gamma_sign(arg)
+        logmag -= math.lgamma(arg)
+    for p in f.powers:
+        logmag += p.exponent(point) * math.log(p.base)
+    return f.constant * (sign * math.exp(logmag))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except Exception as exc:
+        return type(exc).__name__
+
+
+# slopes and offsets that put many poles of different factors on one grid of
+# quarter-integers, plus one slope (1/3) whose poles are inexact floats
+LATTICE_SLOPES = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.0 / 3.0])
+LATTICE_OFFSETS = st.sampled_from([0.0, 0.5, 1.0, 1.5, -1.0, 2.0, 0.25])
+
+
+@st.composite
+def lattice_cases(draw):
+    """A 1-D or 2-D fraction and, per axis, a few locations: grid points and
+    exact pole floats of its factors.  Axis-parallel and diagonal factors,
+    numerator/denominator pairs sharing poles (copies and rescaled slopes),
+    and axis-parallel, diagonal and constant powers."""
+    dim = draw(st.sampled_from([1, 2]))
+
+    def factor(axis=None):
+        if axis is None and dim == 2 and draw(st.integers(0, 3)) == 0:
+            return GammaLinearFactor((draw(LATTICE_SLOPES), draw(LATTICE_SLOPES)),
+                                     draw(LATTICE_OFFSETS))
+        cs = [0.0] * dim
+        cs[draw(st.integers(0, dim - 1)) if axis is None else axis] = draw(LATTICE_SLOPES)
+        return GammaLinearFactor(tuple(cs), draw(LATTICE_OFFSETS))
+
+    numerator = [factor(j) for j in range(dim)]
+    numerator += [factor() for _ in range(draw(st.integers(0, 2)))]
+    denominator = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            denominator.append(draw(st.sampled_from(numerator)))
+        elif kind == 1:
+            fac = draw(st.sampled_from(numerator))
+            scale = draw(st.sampled_from([2.0, 0.5]))
+            denominator.append(GammaLinearFactor(tuple(c * scale for c in fac.coeffs), fac.offset))
+        else:
+            denominator.append(factor())
+    powers = []
+    for _ in range(draw(st.integers(0, 2))):
+        cs = tuple(draw(st.sampled_from([0.0, 1.0, -1.0, 0.5])) for _ in range(dim))
+        powers.append(PowerFactor(draw(st.floats(0.1, 5.0)), cs,
+                                  draw(st.sampled_from([0.0, 0.5, -1.0]))))
+    f = GammaFraction(numerator=tuple(numerator), denominator=tuple(denominator),
+                      powers=tuple(powers), constant=draw(st.sampled_from([1.0, -2.5, 0.3])))
+    locs = []
+    for j in range(dim):
+        poles = [-(k + fac.offset) / fac.coeffs[j] for fac in numerator
+                 if fac.coeffs[j] != 0.0 for k in range(6)]
+        got = draw(st.lists(st.one_of(st.integers(-16, 8).map(lambda k: k / 4.0),
+                                      st.sampled_from(poles)),
+                            min_size=1, max_size=5, unique=True))
+        locs.append(got)
+    return f, locs
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_cases())
+def test_residue_plan_matches_the_factor_by_factor_reference(case):
+    f, locs = case
+    plan = mellin_core._ResiduePlan(f, [mellin_core._Poles(locs=axis) for axis in locs])
+    # records are shared between points and built in no particular order
+    for point in itertools.product(*(range(len(axis)) for axis in locs)):
+        z = tuple(axis[n] for axis, n in zip(locs, point))
+        want = _outcome(reference_residue, f, z)
+        assert _outcome(_residue_at_point, plan, point) == want
+        assert _outcome(_residue_at_point, f, z) == want
+
+
+@pytest.mark.parametrize("f, z, want", [
+    # Gamma(z)Gamma(2z)/Gamma(z) at -1: a carrier and one pair, residue 1/4
+    (GammaFraction(numerator=(GammaLinearFactor((1.0,), 0.0), GammaLinearFactor((2.0,), 0.0)),
+                   denominator=(GammaLinearFactor((1.0,), 0.0),)), (-1.0,), "0x1.0000000000001p-2"),
+    # Gamma(z)Gamma(2z) at -1: net order 2
+    (GammaFraction(numerator=(GammaLinearFactor((1.0,), 0.0), GammaLinearFactor((2.0,), 0.0))),
+     (-1.0,), "PoleOrderError"),
+    # Gamma(z)/Gamma(2z) at -1: cancelled
+    (GammaFraction(numerator=(GammaLinearFactor((1.0,), 0.0),),
+                   denominator=(GammaLinearFactor((2.0,), 0.0),)), (-1.0,), "0x0.0p+0"),
+    # a singular diagonal denominator is a zero of the integrand
+    (GammaFraction(numerator=(GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1.0), 0.0)),
+                   denominator=(GammaLinearFactor((1.0, 1.0), 0.0),)), (-1.0, -2.0), "0x0.0p+0"),
+    # a singular diagonal numerator is not a transverse intersection
+    (GammaFraction(numerator=(GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1.0), 0.0),
+                              GammaLinearFactor((1.0, 1.0), 0.0))), (-1.0, -2.0), "PoleOrderError"),
+])
+def test_residue_plan_edge_cases_match_the_reference(f, z, want):
+    assert _outcome(reference_residue, f, z) == want
+    assert _outcome(_residue_at_point, f, z) == want
+
+
+def test_residue_work_is_per_pole_not_per_lattice_point(monkeypatch):
+    calls = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+    f = exp2d(1.0, 1.0)
+    cont = Contour((1.0, 1.0))
+    res = sum_residues_2d(f, cont, compatible_cone_2d(f, cont), tol=1e-14)
+    shells = len(res.record)
+    # one lgamma per pole record of each axis, none per lattice point
+    assert res.converged and res.terms_used == shells * (shells + 1) // 2
+    assert 0 < len(calls) <= 2 * shells < res.terms_used
 
 
 # ---------------------------------------------------------------------------

@@ -60,3 +60,32 @@ def test_candidate_counter_reads_what_real_sums_return():
     assert res.converged and res2.converged
     assert tracer.present == [True] and tracer.calls[0] >= 3
     assert tracer.counts[f"{bd.layer}.candidates"] > res.terms_used
+
+
+def test_residue_counter_sees_one_call_per_lattice_point():
+    tracing = _load_tracing()
+    mc = importlib.import_module("mellinbarnes.mellin_core")
+    bd = next(b for b in tracing.BOUNDARIES if b.attr == "_residue_at_point")
+    tracer = tracing.Tracer(boundaries=(bd,)).install()
+    try:
+        # Gamma(z)/Gamma(z/2) 2^{-z}: the even poles 0, -2, -4, ... cancel
+        one = mc.GammaFraction(numerator=(mc.GammaLinearFactor((1.0,), 0.0),),
+                               denominator=(mc.GammaLinearFactor((0.5,), 0.0),),
+                               powers=(mc.PowerFactor(2.0, (-1.0,), 0.0),))
+        res = mc.sum_residues_1d(one, mc.Contour((1.0,)), mc.Direction.LEFT)
+        tracer.end_request()
+        two = mc.GammaFraction(
+            numerator=(mc.GammaLinearFactor((1.0, 0.0), 0.0), mc.GammaLinearFactor((0.0, 1.0), 0.0)),
+            powers=(mc.PowerFactor(1.0, (-1.0, 0.0), 0.0), mc.PowerFactor(1.0, (0.0, -1.0), 0.0)))
+        cont = mc.Contour((1.0, 1.0))
+        res2 = mc.sum_residues_2d(two, cont, mc.compatible_cone_2d(two, cont), tol=1e-14)
+        tracer.end_request()
+    finally:
+        tracer.remove()
+    assert res.converged and res2.converged
+    # the 1-D series visits the poles 0, -1, ..., down to its last term, the
+    # 2-D one every point of the shells it sums
+    visited = round(-res.record[-1].label) + 1
+    assert res.terms_used < visited
+    assert tracer.calls == [visited + res2.terms_used]
+    assert tracer.counts[f"{bd.layer}.nonzero"] == res.terms_used + res2.terms_used

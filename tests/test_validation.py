@@ -104,6 +104,9 @@ ENTRY_POINTS = {
     "green_tol_nan": lambda: green_fractional_series(0.5, 1.0, GAUSS, tol=NAN),
     "green_max_terms_zero": lambda: green_fractional_series(0.5, 1.0, GAUSS, max_terms=0),
     "vertical_panels_zero": lambda: vertical_inverse(lambda p: 1 / p, 1.0, mu=1.0, panels=0),
+    "vertical_panels_fractional": lambda: vertical_inverse(lambda p: 1 / p, 1.0, mu=1.0,
+                                                           panels=2.5),
+    "vertical_panels_bool": lambda: vertical_inverse(lambda p: 1 / p, 1.0, mu=1.0, panels=True),
     # a budget is an integer (not a bool); a pole index bound may be 0
     "sum_1d_max_terms_fractional": lambda: _sum_1d(max_terms=2.5),
     "sum_1d_max_terms_float": lambda: _sum_1d(max_terms=1e9),
@@ -130,6 +133,18 @@ def test_integer_budgets_of_any_index_type_are_accepted():
     assert _sum_1d(max_terms=np.int64(40)).value == _sum_1d(max_terms=40).value
     assert _sum_2d(max_shells=np.int32(30)).value == _sum_2d(max_shells=30).value
     assert enumerate_poles_1d(EXP, Direction.LEFT, 0, C1) == [(0.0, 1)]
+
+
+def test_budgets_too_large_for_a_float_are_accepted():
+    # Gamma(z) 2^{-z} converges in 23 terms whatever the budget
+    halves = GammaFraction(numerator=(GammaLinearFactor((1.0,), 0.0),),
+                           powers=(PowerFactor(2.0, (-1.0,), 0.0),))
+    huge = sum_residues_1d(halves, C1, Direction.LEFT, max_terms=10**400)
+    small = sum_residues_1d(halves, C1, Direction.LEFT, max_terms=400)
+    assert (huge.value.hex(), huge.terms_used, huge.converged) == (
+        small.value.hex(), small.terms_used, small.converged)
+    assert bs_series(CONTRACT, max_shells=10**400).value == bs_series(CONTRACT).value
+    assert _sum_2d(max_shells=10**400).value == _sum_2d().value
 
 
 @pytest.mark.parametrize("argv", [
