@@ -19,6 +19,8 @@ from .mellin_core import (
     delta_vector,
     select_half_plane,
     enumerate_poles_1d,
+    compatible_cone,
+    sum_residues,
     sum_residues_1d,
     compatible_cone_2d,
     sum_residues_2d,

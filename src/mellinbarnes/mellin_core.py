@@ -1,19 +1,19 @@
-"""Gamma-fraction integrands and Mellin-Barnes residue summation in 1 and 2 variables.
+"""Gamma-fraction integrands and Mellin-Barnes residue summation in any number of variables.
 
 An integrand is a ratio of Gamma factors with linear arguments times power
 prefactors ("Gamma fraction").  Its Mellin-Barnes integral along a vertical
 contour is evaluated as a residue series: the characteristic vector Delta
-(sum of numerator slopes minus denominator slopes) selects the half-plane or
-quadrant cone that supports the summation, each factor's poles (the singular
-series of Gamma) are merged lazily by distance from the contour, and residues
-are accumulated in a fixed order with compensated summation so converged
-results are bit-reproducible.
+(sum of numerator slopes minus denominator slopes) selects the orthant cone
+(in one variable, the half-plane) that supports the summation, each factor's
+poles (the singular series of Gamma) are merged lazily by distance from the
+contour, and residues are accumulated in a fixed order with compensated
+summation so converged results are bit-reproducible.
 
 Only simple (net order 1) poles are supported; numerator poles cancelled by
 denominator poles contribute exactly zero and are skipped.  Orientation
 convention: a residue sum over a LEFT half-plane enters with sign +1, over a
-RIGHT half-plane with -1 (clockwise closure); in two dimensions the face
-signs multiply.
+RIGHT half-plane with -1 (clockwise closure); over a cone the face signs
+multiply.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ __all__ = [
     "delta_vector",
     "select_half_plane",
     "enumerate_poles_1d",
+    "compatible_cone",
+    "sum_residues",
     "sum_residues_1d",
     "compatible_cone_2d",
     "sum_residues_2d",
@@ -66,7 +68,7 @@ class PoleOrderError(ValueError):
 
 
 class NoCompatibleConeError(ValueError):
-    """No quadrant cone is compatible; the caller must supply a custom cone."""
+    """No orthant cone is compatible; the caller must supply a custom cone."""
 
 
 class ContourOnDivisorError(ValueError):
@@ -167,7 +169,7 @@ class Contour:
 
 @dataclass(frozen=True)
 class Cone:
-    """Quadrant cone with vertex at the contour; one face direction per variable."""
+    """Orthant cone with vertex at the contour; one face direction per variable."""
 
     faces: tuple
 
@@ -180,14 +182,11 @@ class Cone:
 
 def delta_vector(f: GammaFraction) -> tuple:
     """Characteristic vector: sum of numerator slopes minus denominator slopes."""
-    d = f.dim
-    out = [0.0] * d
-    for fac in f.numerator:
-        for j in range(d):
-            out[j] += fac.coeffs[j]
-    for fac in f.denominator:
-        for j in range(d):
-            out[j] -= fac.coeffs[j]
+    out = [0.0] * f.dim
+    for sign, facs in ((1.0, f.numerator), (-1.0, f.denominator)):
+        for fac in facs:
+            for j, c in enumerate(fac.coeffs):
+                out[j] += sign * c
     return tuple(out)
 
 
@@ -222,7 +221,11 @@ def _pole_family(i: int, a: float, b: float, gamma: float, direction: Direction,
     """Entries (|loc - gamma|, loc, i, k) of the poles loc = -(k + b)/a,
     0 <= k <= max_index, of numerator factor i that lie on `direction`'s side
     of gamma, nearest first.  Float arithmetic is monotone in k, so the side's
-    poles form one run of indices and their distances never decrease."""
+    poles form one run of indices and their distances never decrease.  A
+    non-finite |loc| at k = 0 or k = min(max_index, 2**53), where it peaks,
+    raises ValueError (k + b is inexact beyond 2**53, which no series reaches)."""
+    if not (math.isfinite(b / a) and math.isfinite((min(max_index, 2**53) + b) / a)):
+        raise ValueError(f"numerator factor {i} (a={a}, b={b}) has poles beyond the float range")
 
     def entry(k):
         loc = -(k + b) / a
@@ -302,19 +305,13 @@ class _Poles(dict):
         self.locs, self.done, self._stream, self._chunk = list(locs), stream is None, stream, 16
         self.num, self.den, self.pw = [], [], []
 
-    def has(self, n: int) -> bool:
-        """True when location n exists, reading further chunks as needed."""
+    def read(self, n: int) -> int:
+        """The number of locations held once read through location n or to the end."""
         while n >= len(self.locs) and not self.done:
             got = _candidate_locations_1d(self._stream, self._chunk)
             self.locs.extend(got)
             self.done = len(got) < self._chunk
             self._chunk *= 2
-        return n < len(self.locs)
-
-    def size(self) -> int:
-        """Number of locations; drains the stream, so only for a finite side."""
-        while not self.done:
-            self.has(len(self.locs))
         return len(self.locs)
 
     def finite(self, direction: Direction) -> bool:
@@ -440,10 +437,6 @@ def _residue_at_point(plan, point: Sequence) -> float:
     return plan.constant * (sign * math.exp(logmag))
 
 
-# ---------------------------------------------------------------------------
-# one dimension
-# ---------------------------------------------------------------------------
-
 def enumerate_poles_1d(f: GammaFraction, direction: Direction, max_index: int,
                        contour: Contour) -> list:
     """Candidate poles on one side of the contour, as (location, net order) pairs.
@@ -470,120 +463,124 @@ def enumerate_poles_1d(f: GammaFraction, direction: Direction, max_index: int,
     return out
 
 
-def sum_residues_1d(f: GammaFraction, contour: Contour, direction: Direction,
-                    tol: float = 1e-12, max_terms: int = 400,
-                    early_divergence_exit: bool = True) -> ResidueSeriesResult:
-    """Residue series on one side of the contour, poles ordered by distance.
-
-    The returned value includes the closure orientation (+ for LEFT, - for
-    RIGHT), i.e. it estimates the Mellin-Barnes integral itself.  Callers
-    summing entire series may disable the early divergence exit so that a
-    transient growth phase is summed through.
-    """
-    if f.dim != 1 or contour.dim != 1:
-        raise ValueError("sum_residues_1d applies to one-dimensional fractions")
-    if direction not in (Direction.LEFT, Direction.RIGHT):
-        raise ValueError("summation direction must be LEFT or RIGHT")
-    require_integer("max_terms", max_terms)
-    require_positive("tol and max_terms", tol, max_terms)
-    poles = _Poles(_pole_stream(f, 0, contour.gamma[0], direction, max_terms + 8))
-    plan = _ResiduePlan(f, [poles])
-    orient = 1.0 if direction is Direction.LEFT else -1.0
-    out_of_budget = False
-
-    def shells():
-        nonlocal out_of_budget
-        used = 0
-        n = 0
-        while poles.has(n):
-            if used >= max_terms:
-                out_of_budget = True
-                return
-            loc = poles.locs[n]
-            term = _residue_at_point(plan, (n,))
-            del poles[n]  # a 1-D record serves one point
-            n += 1
-            if term != 0.0:
-                used += 1
-            yield loc, [(loc, orient * term)]
-
-    s = sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit)
-    if s.exhausted and not out_of_budget and poles.finite(direction):
-        # every pole on this side has been summed: the tail is exactly empty
-        return replace(s, converged=True, last_shell_magnitude=0.0)
-    return s
-
-
-# ---------------------------------------------------------------------------
-# two dimensions
-# ---------------------------------------------------------------------------
-
-def compatible_cone_2d(f: GammaFraction, contour: Contour) -> Cone:
-    """Quadrant cone with vertex at the contour, inside Pi_Delta, such that each
+def compatible_cone(f: GammaFraction, contour: Contour) -> Cone:
+    """Orthant cone with vertex at the contour, inside Pi_Delta, such that each
     divisor family crosses at most one face.
 
-    Numerator divisor families must be axis-parallel; otherwise every quadrant
+    Numerator divisor families must be axis-parallel; otherwise every orthant
     has a family crossing two faces and the caller must supply a custom cone.
     """
-    if f.dim != 2 or contour.dim != 2:
-        raise ValueError("compatible_cone_2d applies to two-dimensional fractions")
+    if contour.dim != f.dim:
+        raise ValueError(f"a {f.dim}-variable fraction needs {f.dim} contour abscissae")
     plan = _ResiduePlan(f)
     for fac, axis in zip(f.numerator, plan.num_axes):
         if axis is None:
             raise NoCompatibleConeError(
                 "numerator divisor family is not axis-parallel; "
-                "no quadrant cone is compatible - supply a custom cone")
+                "no orthant cone is compatible - supply a custom cone")
         if pole_index(fac.argument(contour.gamma)) is not None:
             raise ContourOnDivisorError(
                 f"contour lies on a divisor of factor {fac} in variable {axis}")
-
-    delta = delta_vector(f)
     faces = []
-    for j in range(2):
-        side = select_half_plane(delta[j])
+    for ax, delta in zip(plan.axes, delta_vector(f)):
+        side = select_half_plane(delta)
         if side is Direction.BOTH:
             # free face: prefer the side where this variable's pole families live
-            sides = {Direction.LEFT if a > 0 else Direction.RIGHT for a, _ in plan.axes[j].num}
+            sides = {Direction.LEFT if a > 0 else Direction.RIGHT for a, _ in ax.num}
             side = sides.pop() if len(sides) == 1 else Direction.LEFT
         faces.append(side)
     return Cone(faces=tuple(faces))
 
 
+def _shell_points(s: int, n: Sequence):
+    """Index tuples k, 0 <= kj < nj, with k1 + ... + kd = s (d >= 2), lexicographically."""
+    lo, hi = max(0, s - sum(n[1:]) + len(n) - 1), min(s, n[0] - 1)
+    if len(n) == 2:
+        return zip(range(lo, hi + 1), range(s - lo, s - hi - 1, -1))
+    return [(k,) + p for k in range(lo, hi + 1) for p in _shell_points(s - k, n[1:])]
+
+
+def sum_residues(f: GammaFraction, contour: Contour, cone: Cone, tol: float = 1e-12,
+                 budget: int = 400, early_divergence_exit: bool = True) -> ResidueSeriesResult:
+    """Residue series over the divisor-intersection lattice inside an orthant
+    cone with vertex at the contour, in any number d of variables.
+
+    Axis j numbers its poles on face j 0, 1, ... by distance from the contour.
+    Shell s holds the index tuples with k1 + ... + kd = s, lexicographically;
+    the series ends at the first shell with no lattice point or by the
+    module-wide stopping rule.  The value carries the product of the face
+    orientations (+ LEFT, - RIGHT), so it estimates the integral itself.
+    In 1-D a shell is one pole, labelled and keyed by its location, and
+    `budget` counts non-zero terms (cancelled poles are free); for d >= 2 a
+    shell is labelled s and keyed by index tuples, and `budget` counts shells.
+    The early divergence exit may be disabled to sum through transient growth.
+    A sum that visits the whole lattice within the budget, with every axis
+    finite on its face, is complete."""
+    d = f.dim
+    if contour.dim != d or len(cone.faces) != d:
+        raise ValueError(f"a {d}-variable fraction needs {d} contour abscissae and cone faces")
+    require_integer("budget", budget)
+    require_positive("tol and budget", tol, budget)
+    axes = [_Poles(_pole_stream(f, j, contour.gamma[j], cone.faces[j], budget + 8))
+            for j in range(d)]
+    plan = _ResiduePlan(f, axes)
+    orient = math.prod(1.0 if face is Direction.LEFT else -1.0 for face in cone.faces)
+    cut = False  # the budget ended the series with lattice points left
+
+    def shells():
+        nonlocal cut
+        used = s = ready = 0  # while s < ready, every axis holds pole s
+        while True:
+            if s >= ready:
+                # read through s, an axis shorter than s + 1 holds its whole pole set
+                n = [p.read(s) for p in axes]
+                ready = min(n)
+                if not ready or s > sum(n) - d:
+                    return  # no lattice point at this shell or beyond
+            if used >= budget:
+                cut = True
+                return
+            if d > 1:
+                used += 1
+                yield s, [(k, orient * _residue_at_point(plan, k)) for k in _shell_points(s, n)]
+            else:
+                loc = axes[0].locs[s]
+                term = _residue_at_point(plan, (s,))
+                if term != 0.0:
+                    used += 1
+                yield loc, [(loc, orient * term)]
+            s += 1
+
+    res = sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit)
+    if res.exhausted and not cut and all(map(_Poles.finite, axes, cone.faces)):
+        # every lattice point has been summed: the tail is exactly empty
+        return replace(res, converged=True, last_shell_magnitude=0.0)
+    return res
+
+
+def sum_residues_1d(f: GammaFraction, contour: Contour, direction: Direction,
+                    tol: float = 1e-12, max_terms: int = 400,
+                    early_divergence_exit: bool = True) -> ResidueSeriesResult:
+    """sum_residues on one side of the contour of a one-variable fraction."""
+    if f.dim != 1:
+        raise ValueError("sum_residues_1d applies to one-dimensional fractions")
+    require_integer("max_terms", max_terms)
+    require_positive("tol and max_terms", tol, max_terms)
+    return sum_residues(f, contour, Cone((direction,)), tol, max_terms, early_divergence_exit)
+
+
+def compatible_cone_2d(f: GammaFraction, contour: Contour) -> Cone:
+    """compatible_cone of a two-variable fraction."""
+    if f.dim != 2:
+        raise ValueError("compatible_cone_2d applies to two-dimensional fractions")
+    return compatible_cone(f, contour)
+
+
 def sum_residues_2d(f: GammaFraction, contour: Contour, cone: Cone,
                     tol: float = 1e-12, max_shells: int = 400) -> ResidueSeriesResult:
-    """Grothendieck-residue series over the divisor-intersection lattice inside
-    the cone, enumerated by anti-diagonal shells k1+k2 = const (increasing k1
-    within a shell), with the module-wide stopping rule.
-
-    The value carries the product of the face closure orientations.
-    """
-    if f.dim != 2 or contour.dim != 2:
+    """sum_residues of a two-variable fraction (Grothendieck residues)."""
+    if f.dim != 2:
         raise ValueError("sum_residues_2d applies to two-dimensional fractions")
     require_integer("max_shells", max_shells)
     require_positive("tol and max_shells", tol, max_shells)
-    p1, p2 = (_Poles(_pole_stream(f, j, contour.gamma[j], cone.faces[j], max_shells + 8))
-              for j in range(2))
-    plan = _ResiduePlan(f, [p1, p2])
-    orient = 1.0
-    for face in cone.faces:
-        orient *= 1.0 if face is Direction.LEFT else -1.0
-
-    def shells():
-        for shell in range(max_shells):
-            # with both sides read through index `shell`, a side shorter than
-            # shell + 1 is exhausted and its length is its whole count
-            p1.has(shell)
-            p2.has(shell)
-            n1, n2 = len(p1.locs), len(p2.locs)
-            if shell > n1 + n2 - 2:
-                return  # no lattice point at this shell or beyond
-            yield shell, [((k1, shell - k1),
-                           orient * _residue_at_point(plan, (k1, shell - k1)))
-                          for k1 in range(max(0, shell - n2 + 1), min(shell, n1 - 1) + 1)]
-
-    s = sum_shells(shells(), tol)
-    if (s.exhausted and p1.finite(cone.faces[0]) and p2.finite(cone.faces[1])
-            and p1.size() + p2.size() - 1 <= max_shells):
-        # the whole (finite) intersection lattice has been summed
-        return replace(s, converged=True, last_shell_magnitude=0.0)
-    return s
+    return sum_residues(f, contour, cone, tol, max_shells)

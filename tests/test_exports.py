@@ -27,3 +27,9 @@ def test_package_imports_only_names_in_all():
         module = importlib.import_module(f"mellinbarnes.{node.module}")
         stray = [a.name for a in node.names if a.name not in module.__all__]
         assert stray == [], node.module
+
+
+def test_any_dimension_driver_is_exported():
+    from mellinbarnes import mellin_core
+    assert mellinbarnes.sum_residues is mellin_core.sum_residues
+    assert mellinbarnes.compatible_cone is mellin_core.compatible_cone

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -21,11 +22,13 @@ from mellinbarnes.mellin_core import (
     NoCompatibleConeError,
     PoleOrderError,
     PowerFactor,
+    compatible_cone,
     compatible_cone_2d,
     delta_vector,
     _residue_at_point,
     enumerate_poles_1d,
     select_half_plane,
+    sum_residues,
     sum_residues_1d,
     sum_residues_2d,
 )
@@ -646,6 +649,226 @@ def test_sum_2d_converged_stable_under_doubling():
     a = sum_residues_2d(f, cont, cone, tol=tol, max_shells=60)
     b = sum_residues_2d(f, cont, cone, tol=tol, max_shells=120)
     assert a.converged and abs(a.value - b.value) < tol
+
+
+# ---------------------------------------------------------------------------
+# one driver for any number of variables
+# ---------------------------------------------------------------------------
+
+def reference_sum_1d(f, contour, direction, tol, max_terms, early_divergence_exit):
+    """The reference: the one-variable series loop as it was before the
+    any-dimension driver."""
+    poles = mellin_core._Poles(mellin_core._pole_stream(f, 0, contour.gamma[0], direction,
+                                                        max_terms + 8))
+    plan = mellin_core._ResiduePlan(f, [poles])
+    orient = 1.0 if direction is Direction.LEFT else -1.0
+    out_of_budget = False
+
+    def shells():
+        nonlocal out_of_budget
+        used = 0
+        n = 0
+        while poles.read(n) > n:
+            if used >= max_terms:
+                out_of_budget = True
+                return
+            loc = poles.locs[n]
+            term = _residue_at_point(plan, (n,))
+            del poles[n]
+            n += 1
+            if term != 0.0:
+                used += 1
+            yield loc, [(loc, orient * term)]
+
+    s = sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit)
+    if s.exhausted and not out_of_budget and poles.finite(direction):
+        return dataclasses.replace(s, converged=True, last_shell_magnitude=0.0)
+    return s
+
+
+def reference_sum_2d(f, contour, cone, tol, max_shells):
+    """The reference: the two-variable series loop as it was before the
+    any-dimension driver."""
+    p1, p2 = (mellin_core._Poles(mellin_core._pole_stream(f, j, contour.gamma[j], cone.faces[j],
+                                                          max_shells + 8))
+              for j in range(2))
+    plan = mellin_core._ResiduePlan(f, [p1, p2])
+    orient = 1.0
+    for face in cone.faces:
+        orient *= 1.0 if face is Direction.LEFT else -1.0
+
+    def shells():
+        for shell in range(max_shells):
+            n1, n2 = p1.read(shell), p2.read(shell)
+            if shell > n1 + n2 - 2:
+                return
+            yield shell, [((k1, shell - k1),
+                           orient * _residue_at_point(plan, (k1, shell - k1)))
+                          for k1 in range(max(0, shell - n2 + 1), min(shell, n1 - 1) + 1)]
+
+    s = sum_shells(shells(), tol)
+    if (s.exhausted and p1.finite(cone.faces[0]) and p2.finite(cone.faces[1])
+            and _drained(p1) + _drained(p2) - 1 <= max_shells):
+        return dataclasses.replace(s, converged=True, last_shell_magnitude=0.0)
+    return s
+
+
+def _drained(poles):
+    """The number of locations of a finite side, read to its end."""
+    return poles.read(2**62)
+
+
+def _hex(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+def _series_fields(fn, *args):
+    """Every field of a series result, floats as hex, or the exception type."""
+    try:
+        r = fn(*args)
+    except Exception as exc:
+        return type(exc).__name__
+    return (r.value.hex(), r.terms_used, r.last_shell_magnitude.hex(), r.converged,
+            r.exhausted, r.max_term.hex(),
+            [(_hex(sh.label), [(tuple(map(_hex, k)) if isinstance(k, tuple) else _hex(k),
+                                t.hex()) for k, t in sh.terms],
+              sh.shell_sum.hex(), sh.partial.hex()) for sh in r.record])
+
+
+@st.composite
+def series_cases(draw):
+    """A 1-D or 2-D fraction with axis-parallel numerator families on either
+    side of the contour (so a face may hold none, finitely many or infinitely
+    many poles), denominators that cancel some poles, a diagonal denominator,
+    a cone, a budget, a tolerance and the divergence exit."""
+    dim = draw(st.sampled_from([1, 2]))
+
+    def factor(axis=None):
+        cs = [0.0] * dim
+        cs[draw(st.integers(0, dim - 1)) if axis is None else axis] = draw(LATTICE_SLOPES)
+        return GammaLinearFactor(tuple(cs), draw(LATTICE_OFFSETS))
+
+    numerator = [factor(j) for j in range(dim)] + [factor() for _ in range(draw(st.integers(0, 3)))]
+    denominator = [draw(st.sampled_from(numerator)) if draw(st.booleans()) else factor()
+                   for _ in range(draw(st.integers(0, 2)))]
+    if dim == 2 and draw(st.booleans()):
+        denominator.append(GammaLinearFactor((draw(LATTICE_SLOPES), draw(LATTICE_SLOPES)),
+                                             draw(LATTICE_OFFSETS)))
+    powers = [PowerFactor(draw(st.floats(0.1, 5.0)),
+                          tuple(draw(st.sampled_from([0.0, 1.0, -1.0, 0.5])) for _ in range(dim)))
+              for _ in range(draw(st.integers(0, 2)))]
+    f = GammaFraction(tuple(numerator), tuple(denominator), tuple(powers),
+                      draw(st.sampled_from([1.0, -2.5])))
+    gamma = tuple(draw(st.sampled_from([-2.75, -0.5, 0.3, 1.0, 2.5, 6.25, 12.5]))
+                  for _ in range(dim))
+    faces = tuple(draw(st.sampled_from([Direction.LEFT, Direction.RIGHT])) for _ in range(dim))
+    return (f, Contour(gamma), Cone(faces), draw(st.sampled_from([1e-12, 1e-6, 1e-300])),
+            draw(st.one_of(st.integers(1, 16), st.integers(1, 300))), draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(series_cases())
+def test_sum_residues_matches_the_per_dimension_loops(case):
+    f, contour, cone, tol, budget, early = case
+    if f.dim == 1:
+        (face,) = cone.faces
+        want = _series_fields(reference_sum_1d, f, contour, face, tol, budget, early)
+        got = _series_fields(sum_residues_1d, f, contour, face, tol, budget, early)
+        assert _series_fields(sum_residues, f, contour, cone, tol, budget, early) == got
+    else:
+        want = _series_fields(reference_sum_2d, f, contour, cone, tol, budget)
+        got = _series_fields(sum_residues_2d, f, contour, cone, tol, budget)
+        assert _series_fields(sum_residues, f, contour, cone, tol, budget) == got
+        if got != want:
+            # the one intended difference: the 2-D loop judged an empty
+            # lattice by its would-be shell count, so it could call an empty
+            # sum on finite faces incomplete
+            assert _empty_lattice(f, contour, cone, budget)
+            assert got == want[:3] + (True,) + want[4:]
+            return
+    assert got == want
+
+
+def _empty_lattice(f, contour, cone, budget):
+    """True when some axis has no pole on its face within a series' candidate
+    window and every axis is finite."""
+    axes = [mellin_core._Poles(mellin_core._pole_stream(f, j, g, face, budget + 8))
+            for j, (g, face) in enumerate(zip(contour.gamma, cone.faces))]
+    return (not all(p.read(0) for p in axes)
+            and all(p.finite(face) for p, face in zip(axes, cone.faces)))
+
+
+def test_an_empty_lattice_is_complete_when_every_face_is_finite():
+    # Gamma(z1): three poles right of z1 = -2.75, and z2 has none at all
+    f = GammaFraction(numerator=(GammaLinearFactor((1.0, 0.0), 0.0),))
+    cont = Contour((-2.75, -2.75))
+    res = sum_residues_2d(f, cont, Cone((Direction.RIGHT, Direction.LEFT)), max_shells=1)
+    assert (res.value, res.terms_used, res.converged, res.exhausted) == (0.0, 0, True, True)
+    # Gamma(z1) has infinitely many poles left of the contour: not complete
+    res = sum_residues_2d(f, cont, Cone((Direction.LEFT, Direction.LEFT)), max_shells=1)
+    assert (res.value, res.terms_used, res.converged, res.exhausted) == (0.0, 0, False, True)
+
+
+def _unit(j, scale=1.0):
+    return tuple(scale if i == j else 0.0 for i in range(3))
+
+
+def test_sum_3d_exponential():
+    # e^{-a} e^{-b} e^{-c} = Gamma(z1)Gamma(z2)Gamma(z3) a^{-z1} b^{-z2} c^{-z3}
+    xs = (0.7, 1.3, 2.1)
+    f = GammaFraction(numerator=tuple(GammaLinearFactor(_unit(j), 0.0) for j in range(3)),
+                      powers=tuple(PowerFactor(x, _unit(j, -1.0)) for j, x in enumerate(xs)))
+    cont = Contour((1.0, 1.0, 1.0))
+    cone = compatible_cone(f, cont)
+    assert cone.faces == (Direction.LEFT,) * 3
+    res = sum_residues(f, cont, cone, tol=1e-14)
+    assert res.converged
+    assert res.value == pytest.approx(math.exp(-sum(xs)), rel=1e-12)
+    # shell s holds the (s+1)(s+2)/2 index tuples with k1+k2+k3 = s, in order
+    assert [sh.label for sh in res.record] == list(range(len(res.record)))
+    assert [k for k, _ in res.record[2].terms] == [
+        (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    assert res.terms_used == sum((s + 1) * (s + 2) // 2 for s in range(len(res.record)))
+
+
+def test_sum_3d_finite_faces_complete_exactly():
+    # Gamma(2-z1)Gamma(1-z2)Gamma(3-z3): 3 x 2 x 3 poles left of the contour,
+    # shells 0..5; the sum is the product of the three complete 1-D sums
+    gamma, offsets, xs = (4.5, 2.5, 5.5), (2.0, 1.0, 3.0), (0.6, 1.7, 2.4)
+    f = GammaFraction(numerator=tuple(GammaLinearFactor(_unit(j, -1.0), b)
+                                      for j, b in enumerate(offsets)),
+                      powers=tuple(PowerFactor(x, _unit(j, -1.0)) for j, x in enumerate(xs)))
+    cont, cone = Contour(gamma), Cone((Direction.LEFT,) * 3)
+    res = sum_residues(f, cont, cone, tol=1e-300, budget=6)
+    assert (res.converged, res.exhausted, res.terms_used, len(res.record)) == (True, True, 18, 6)
+    assert res.last_shell_magnitude == 0.0
+    want = 1.0
+    for g, b, x in zip(gamma, offsets, xs):
+        one = sum_residues_1d(GammaFraction(numerator=(GammaLinearFactor((-1.0,), b),),
+                                            powers=(PowerFactor(x, (-1.0,)),)),
+                              Contour((g,)), Direction.LEFT, tol=1e-300)
+        assert one.converged and one.last_shell_magnitude == 0.0
+        want *= one.value
+    assert res.value == pytest.approx(want, rel=1e-13)
+    # one shell short of the lattice, the sum is cut by the budget
+    res = sum_residues(f, cont, cone, tol=1e-300, budget=5)
+    assert (res.converged, res.exhausted, res.terms_used) == (False, True, 17)
+
+
+def test_sum_residues_checks_its_dimensions():
+    f = exp2d(1.0, 1.0)
+    with pytest.raises(ValueError):
+        sum_residues(f, Contour((1.0, 1.0)), Cone((Direction.LEFT,)))
+    with pytest.raises(ValueError):
+        sum_residues(f, Contour((1.0,)), Cone((Direction.LEFT, Direction.LEFT)))
+    with pytest.raises(ValueError):
+        compatible_cone(f, Contour((1.0, 1.0, 1.0)))
+    with pytest.raises(ValueError):
+        sum_residues_1d(f, Contour((1.0, 1.0)), Direction.LEFT)
+    with pytest.raises(ValueError):
+        sum_residues_2d(gamma_z(1.0), Contour((1.0,)), Cone((Direction.LEFT,)))
+    with pytest.raises(ValueError):
+        compatible_cone_2d(gamma_z(1.0), Contour((1.0,)))
 
 
 # ---------------------------------------------------------------------------

@@ -89,3 +89,31 @@ def test_residue_counter_sees_one_call_per_lattice_point():
     assert res.terms_used < visited
     assert tracer.calls == [visited + res2.terms_used]
     assert tracer.counts[f"{bd.layer}.nonzero"] == res.terms_used + res2.terms_used
+
+
+def test_library_callers_count_on_their_per_dimension_boundary(capsys):
+    # the tracer counts series by the 1-D and 2-D entry points, so every
+    # library caller must still go through the one of its dimension
+    tracing = _load_tracing()
+    fg = importlib.import_module("mellinbarnes.fractional_green")
+    bs = importlib.import_module("mellinbarnes.bs_pricer")
+    cli = importlib.import_module("mellinbarnes.cli")
+    bds = tuple(b for b in tracing.BOUNDARIES if b.attr in ("sum_residues_1d", "sum_residues_2d"))
+    assert [b.attr for b in bds] == ["sum_residues_1d", "sum_residues_2d"]
+    runs = [
+        lambda: fg.green_fractional_series(0.8, 1.0, fg.FractionalDiffusionParams(1.3, 1.0, 0.3, 1.0)),
+        lambda: bs.heat_kernel_mb(1.0, 1.0, 0.3),
+        lambda: cli.main(["demo", "exp2d", "--x", "1", "1"]),
+    ]
+    tracer = tracing.Tracer(boundaries=bds).install()
+    counted = []
+    try:
+        for run in runs:
+            before = list(tracer.calls)
+            run()
+            tracer.end_request()
+            counted.append([now - then for now, then in zip(tracer.calls, before)])
+    finally:
+        tracer.remove()
+    capsys.readouterr()
+    assert counted == [[1, 0], [1, 0], [0, 1]]

@@ -26,13 +26,16 @@ from mellinbarnes.laplace_american import (
     vertical_inverse,
 )
 from mellinbarnes.mellin_core import (
+    Cone,
     Contour,
     Direction,
     GammaFraction,
     GammaLinearFactor,
     PowerFactor,
+    compatible_cone,
     compatible_cone_2d,
     enumerate_poles_1d,
+    sum_residues,
     sum_residues_1d,
     sum_residues_2d,
 )
@@ -47,6 +50,9 @@ EXP2D = GammaFraction(
     numerator=(GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1.0), 0.0)),
     powers=(PowerFactor(1.0, (-1.0, 0.0), 0.0), PowerFactor(1.0, (0.0, -1.0), 0.0)))
 C1, C2 = Contour((1.0,)), Contour((1.0, 1.0))
+TINY_SLOPE = GammaFraction(numerator=(GammaLinearFactor((1e-310,), 1.0),))
+TINY_SLOPE_2D = GammaFraction(
+    numerator=(GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1e-310), 0.0)))
 
 
 def _sum_1d(**kw):
@@ -120,6 +126,16 @@ ENTRY_POINTS = {
                                                                      max_shells=4.0),
     "enumerate_max_index_negative": lambda: enumerate_poles_1d(EXP, Direction.LEFT, -3, C1),
     "enumerate_max_index_fractional": lambda: enumerate_poles_1d(EXP, Direction.LEFT, 2.5, C1),
+    "sum_residues_tol_nan": lambda: sum_residues(EXP2D, C2, compatible_cone(EXP2D, C2), tol=NAN),
+    "sum_residues_budget_zero": lambda: sum_residues(EXP, C1, Cone((Direction.LEFT,)), budget=0),
+    "sum_residues_budget_fractional": lambda: sum_residues(EXP, C1, Cone((Direction.LEFT,)),
+                                                           budget=2.5),
+    # a slope so small that pole locations overflow a float
+    "sum_1d_pole_beyond_float_range": lambda: sum_residues_1d(TINY_SLOPE, C1, Direction.LEFT),
+    "enumerate_pole_beyond_float_range": lambda: enumerate_poles_1d(TINY_SLOPE, Direction.LEFT,
+                                                                    5, C1),
+    "sum_2d_pole_beyond_float_range": lambda: sum_residues_2d(
+        TINY_SLOPE_2D, C2, Cone((Direction.LEFT, Direction.LEFT))),
 }
 
 
