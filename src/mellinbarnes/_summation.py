@@ -12,8 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-__all__ = ["ConvergenceError", "KahanSum", "SeriesStopper", "Shell", "ResidueSeriesResult",
-           "sum_shells"]
+__all__ = ["ConvergenceError", "KahanSum", "Shell", "ResidueSeriesResult", "sum_shells"]
+
+# the stopping rule of every residue series; see sum_shells
+OVERFLOW = 1e300
+NEEDED = 3
+DIVERGE_RUN = 5
+DIVERGE_GRACE = 10
 
 
 class ConvergenceError(ArithmeticError):
@@ -34,56 +39,6 @@ class KahanSum:
         t = self.value + y
         self._comp = (t - self.value) - y
         self.value = t
-
-
-class SeriesStopper:
-    """Stopping rule shared by every residue summation in the library.
-
-    Converged after NEEDED consecutive contributions each below
-    tol * max(1, |partial sum|).  Contribution magnitudes that increase for
-    DIVERGE_RUN consecutive steps after the first DIVERGE_GRACE steps count
-    as divergence.
-
-    With abort_on_divergence that growth stops the summation; callers
-    summing entire series (growth is always transient there) leave it off and
-    rely on the convergence rule plus the unconditional overflow abort.
-    """
-
-    OVERFLOW = 1e300
-    NEEDED = 3
-    DIVERGE_RUN = 5
-    DIVERGE_GRACE = 10
-
-    def __init__(self, tol: float, abort_on_divergence: bool = True):
-        self.tol = tol
-        self.abort_on_divergence = abort_on_divergence
-        self._small = 0
-        self._grow = 0
-        self._count = 0
-        self._last_mag = None
-        self.converged = False
-
-    def update(self, contribution_mag: float, partial_mag: float) -> bool:
-        """Feed one contribution magnitude; returns True when summation should stop."""
-        self._count += 1
-        if not contribution_mag < self.OVERFLOW:  # inf/nan included
-            return True
-        if contribution_mag <= self.tol * max(1.0, partial_mag):
-            self._small += 1
-            if self._small >= self.NEEDED:
-                self.converged = True
-                return True
-        else:
-            self._small = 0
-        if self._last_mag is not None and contribution_mag > self._last_mag:
-            self._grow += 1
-            if (self.abort_on_divergence and self._count > self.DIVERGE_GRACE
-                    and self._grow >= self.DIVERGE_RUN):
-                return True
-        else:
-            self._grow = 0
-        self._last_mag = contribution_mag
-        return False
 
 
 class Shell(NamedTuple):
@@ -117,22 +72,38 @@ class ResidueSeriesResult:
 
 def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
                start=0.0) -> ResidueSeriesResult:
-    """Sum an iterator of (label, [(key, term), ...]) shells in order.
+    """Sum an iterator of (label, [(key, term), ...]) shells in order, and
+    decide how the series ends: the one stopping rule of the library.
 
     The non-zero terms are added to `start`: compensated for a float start,
     into one plain total for an mpmath start, whose guard digits make
     compensation useless.  A shell with no non-zero term is skipped and never
-    reaches the stopping rule.  Every other shell feeds the float sum of its
-    term magnitudes to one SeriesStopper.  All returned numbers are floats.
+    reaches the stopping rule.  Every other shell's magnitude, the float sum
+    of its term magnitudes, ends the series
+    - not converged, at OVERFLOW or above (inf and nan included);
+    - converged, as the NEEDED-th consecutive one at or below
+      tol * max(1, |partial sum|);
+    - not converged, with abort_on_divergence, as the DIVERGE_RUN-th
+      consecutive increase past the first DIVERGE_GRACE shells.  Callers
+      summing entire series (growth is always transient there) leave it off.
+    An iterator that runs dry leaves the series `exhausted`.  One that returns
+    True has yielded the whole series: it is converged with an empty tail
+    (last_shell_magnitude 0.0).  All returned numbers are floats.
     """
     acc = KahanSum(start)
     compensated = isinstance(start, float)
-    stopper = SeriesStopper(tol, abort_on_divergence=abort_on_divergence)
-    used = 0
-    last = 0.0
+    used = small = grow = 0
+    last = 0.0  # magnitude of the last non-empty shell
     max_term = abs(float(start))
     record = []
-    for label, pairs in shells:
+    shells = iter(shells)
+    while True:
+        try:
+            label, pairs = next(shells)
+        except StopIteration as stop:
+            whole = stop.value is True
+            return ResidueSeriesResult(float(acc.value), used, 0.0 if whole else last, whole, True,
+                                       max_term, record)
         terms = []
         mag = shell_sum = 0.0
         for key, t in pairs:
@@ -152,9 +123,14 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
         if not terms:
             continue
         used += len(terms)
-        last = mag
         value = float(acc.value)
         record.append(Shell(label, terms, shell_sum, value))
-        if stopper.update(mag, abs(value)):
-            return ResidueSeriesResult(value, used, mag, stopper.converged, False, max_term, record)
-    return ResidueSeriesResult(float(acc.value), used, last, False, True, max_term, record)
+        small = small + 1 if mag <= tol * max(1.0, abs(value)) else 0
+        # the first shell counts as growth from 0.0; a run of growth from it
+        # is longer than DIVERGE_RUN by the time it is past DIVERGE_GRACE
+        grow = grow + 1 if mag > last else 0
+        last = mag
+        converged = small >= NEEDED and mag < OVERFLOW
+        if converged or not mag < OVERFLOW or (abort_on_divergence and grow >= DIVERGE_RUN
+                                               and len(record) > DIVERGE_GRACE):
+            return ResidueSeriesResult(value, used, mag, converged, False, max_term, record)

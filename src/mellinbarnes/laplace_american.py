@@ -30,7 +30,7 @@ Bromwich oracle, which never uses the algebraic simplification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -450,7 +450,8 @@ def american_kernel_series(n: int, m: int, tau: float, c: AmericanConstants,
         A = (-1)^m sum_{j>=0} C(l-1+j, j) (-b)^j a^{-(l+j)} P((l+j)/2, a^2 tau)
 
     and for l <= 0 the finite binomial of (b+w)^{-l} with exact transforms of
-    w^k/p.  The b = 0 degenerate case collapses to the single j = 0 term.
+    w^k/p, summed as one shell.  The b = 0 degenerate case collapses to the
+    single j = 0 term.  The sign (-1)^m is exact, so it goes into every term.
     """
     if n < 1 or m < 1:
         raise ValueError("kernel orders n, m must be positive integers")
@@ -463,35 +464,27 @@ def american_kernel_series(n: int, m: int, tau: float, c: AmericanConstants,
     a2 = a * a
     sign = -1.0 if m % 2 else 1.0
     ell = n - m
-    if ell <= 0:
-        kpow = -ell
-        terms = [math.comb(kpow, j) * b ** j * _invl_w_pow_over_p(kpow - j, tau, a)
-                 for j in range(kpow + 1)]
-        acc = KahanSum(0.0)
-        for t in terms:
-            acc.add(t)
-        return ResidueSeriesResult(value=sign * acc.value, terms_used=kpow + 1,
-                                   last_shell_magnitude=0.0, converged=True, exhausted=True,
-                                   max_term=max(abs(t) for t in terms))
-
     log_b = math.log(abs(b)) if b != 0.0 else None
-    neg_b_sign = 1.0 if b <= 0.0 else -1.0  # sign of (-b)
+    neg_b_sign = sign if b <= 0.0 else -sign  # sign of (-1)^m (-b)
+
+    def binomial():
+        kpow = -ell
+        yield 0, [(j, sign * (math.comb(kpow, j) * b ** j * _invl_w_pow_over_p(kpow - j, tau, a)))
+                  for j in range(kpow + 1)]
+        return True
 
     def shells():
         for j in range(max_shells):
             if j > 0 and b == 0.0:
-                return  # every term past j = 0 carries a factor b^j = 0
+                return True  # every term past j = 0 carries a factor b^j = 0
             coef_log = math.lgamma(ell + j) - math.lgamma(j + 1) - math.lgamma(ell)
             if j > 0:
                 coef_log += j * log_b
-            term_sign = 1.0 if j % 2 == 0 else neg_b_sign
+            term_sign = sign if j % 2 == 0 else neg_b_sign
             pterm = regularized_gamma_p((ell + j) / 2.0, a2 * tau)
             yield j, [(j, term_sign * math.exp(coef_log - (ell + j) * math.log(a)) * pterm)]
 
-    s = sum_shells(shells(), tol)
-    # b = 0: the single j = 0 term is the whole series, unless the budget cut it off
-    complete = b == 0.0 and s.exhausted and s.terms_used < max_shells
-    return replace(s, value=sign * s.value, converged=s.converged or complete, record=[])
+    return sum_shells(binomial() if ell <= 0 else shells(), tol)
 
 
 # ---------------------------------------------------------------------------

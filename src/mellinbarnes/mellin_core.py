@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, takewhile
 from operator import getitem, itemgetter
@@ -319,6 +319,13 @@ class _Poles(dict):
         the candidate list is then the complete pole set on that side."""
         return all((a > 0) is not (direction is Direction.LEFT) for a, _ in self.num)
 
+    def held(self, direction: Direction, gamma: float, max_index: int) -> bool:
+        """True unless a family has pole max_index + 1 on the side: a finite
+        side's candidates, pole indices 0..max_index per family, are then its
+        complete pole set, not the far end of a longer run."""
+        return all(_side_of(-(max_index + 1 + b) / a, gamma) is not direction
+                   for a, b in self.num)
+
     def __missing__(self, n: int) -> list:
         rec = self[n] = self._build(self.locs[n])
         return rec
@@ -404,8 +411,9 @@ def _residue_at_point(plan, point: Sequence) -> float:
     """Residue of the full integrand at a lattice point: one pole position per
     axis of a _ResiduePlan, or the point's coordinates when `plan` is a
     GammaFraction (a one-use plan is then built).  Cancelled points and
-    singular diagonal denominator factors give 0; a net order above 1 or a
-    singular diagonal numerator factor raises PoleOrderError."""
+    singular diagonal denominator factors give 0; a residue beyond the float
+    range gives +-inf; a net order above 1 or a singular diagonal numerator
+    factor raises PoleOrderError."""
     if isinstance(plan, GammaFraction):
         plan, point = _ResiduePlan(plan, [_Poles(locs=(x,)) for x in point]), (0,) * len(point)
     rs = list(map(getitem, plan.axes, point))
@@ -434,7 +442,10 @@ def _residue_at_point(plan, point: Sequence) -> float:
     logmag = 0.0
     for j, i in plan.order:
         logmag += rs[j][i]
-    return plan.constant * (sign * math.exp(logmag))
+    try:
+        return plan.constant * (sign * math.exp(logmag))
+    except OverflowError:  # beyond the float range: the series' overflow abort ends it
+        return plan.constant * (sign * math.inf)
 
 
 def enumerate_poles_1d(f: GammaFraction, direction: Direction, max_index: int,
@@ -508,27 +519,27 @@ def sum_residues(f: GammaFraction, contour: Contour, cone: Cone, tol: float = 1e
     Axis j numbers its poles on face j 0, 1, ... by distance from the contour.
     Shell s holds the index tuples with k1 + ... + kd = s, lexicographically;
     the series ends at the first shell with no lattice point or by the
-    module-wide stopping rule.  The value carries the product of the face
+    stopping rule of sum_shells.  The value carries the product of the face
     orientations (+ LEFT, - RIGHT), so it estimates the integral itself.
     In 1-D a shell is one pole, labelled and keyed by its location, and
     `budget` counts non-zero terms (cancelled poles are free); for d >= 2 a
     shell is labelled s and keyed by index tuples, and `budget` counts shells.
     The early divergence exit may be disabled to sum through transient growth.
-    A sum that visits the whole lattice within the budget, with every axis
-    finite on its face, is complete."""
+    A sum that visits the whole lattice within the budget is complete when
+    every face is finite and the lattice is empty or each face's candidate
+    window, pole indices 0 .. budget + 8 of each family, holds all its poles."""
     d = f.dim
     if contour.dim != d or len(cone.faces) != d:
         raise ValueError(f"a {d}-variable fraction needs {d} contour abscissae and cone faces")
     require_integer("budget", budget)
     require_positive("tol and budget", tol, budget)
-    axes = [_Poles(_pole_stream(f, j, contour.gamma[j], cone.faces[j], budget + 8))
+    window = budget + 8  # the last pole index read per family
+    axes = [_Poles(_pole_stream(f, j, contour.gamma[j], cone.faces[j], window))
             for j in range(d)]
     plan = _ResiduePlan(f, axes)
     orient = math.prod(1.0 if face is Direction.LEFT else -1.0 for face in cone.faces)
-    cut = False  # the budget ended the series with lattice points left
 
     def shells():
-        nonlocal cut
         used = s = ready = 0  # while s < ready, every axis holds pole s
         while True:
             if s >= ready:
@@ -536,10 +547,14 @@ def sum_residues(f: GammaFraction, contour: Contour, cone: Cone, tol: float = 1e
                 n = [p.read(s) for p in axes]
                 ready = min(n)
                 if not ready or s > sum(n) - d:
-                    return  # no lattice point at this shell or beyond
+                    # no lattice point at this shell or beyond: the whole lattice
+                    # when every face is finite, and an axis has no pole or
+                    # every window holds all the poles of its face
+                    return all(map(_Poles.finite, axes, cone.faces)) and (
+                        not ready or all(p.held(face, g, window)
+                                         for p, face, g in zip(axes, cone.faces, contour.gamma)))
             if used >= budget:
-                cut = True
-                return
+                return False
             if d > 1:
                 used += 1
                 yield s, [(k, orient * _residue_at_point(plan, k)) for k in _shell_points(s, n)]
@@ -551,11 +566,7 @@ def sum_residues(f: GammaFraction, contour: Contour, cone: Cone, tol: float = 1e
                 yield loc, [(loc, orient * term)]
             s += 1
 
-    res = sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit)
-    if res.exhausted and not cut and all(map(_Poles.finite, axes, cone.faces)):
-        # every lattice point has been summed: the tail is exactly empty
-        return replace(res, converged=True, last_shell_magnitude=0.0)
-    return res
+    return sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit)
 
 
 def sum_residues_1d(f: GammaFraction, contour: Contour, direction: Direction,

@@ -325,6 +325,61 @@ def test_kernel_degenerate_b_zero_single_term():
     assert s11.value == pytest.approx(-1.0, abs=1e-15)
 
 
+B_ZERO = AmericanConstants.from_rates(0.045, 0.3)  # gamma = 1, b = 0
+B_POS = AmericanConstants.from_rates(0.02, 0.3)  # gamma < 1, b > 0
+
+# (constants, n, m, tau, value, converged, last_shell_magnitude, max_term,
+# terms_used): the kernel series as it was when the finite binomial had its
+# own summation loop and the b = 0 series its own completion rule
+KERNEL_PINS = [
+    (CONSTS, 1, 2, 0.05, '0x1.1dc52e430df23p+1', True, '0x0.0p+0', '0x1.6bfe11d146d5cp+1', 2),
+    (CONSTS, 1, 2, 0.5, '0x1.0b9774c3d5ad6p+0', True, '0x0.0p+0', '0x1.a8093be047748p+0', 2),
+    (CONSTS, 1, 2, 2.0, '0x1.000b2d6342e74p+0', True, '0x0.0p+0', '0x1.9c7cf47fb4ae6p+0', 2),
+    (CONSTS, 2, 3, 0.05, '-0x1.1dc52e430df23p+1', True, '0x0.0p+0', '0x1.6bfe11d146d5cp+1', 2),
+    (CONSTS, 2, 3, 0.5, '-0x1.0b9774c3d5ad6p+0', True, '0x0.0p+0', '0x1.a8093be047748p+0', 2),
+    (CONSTS, 2, 3, 2.0, '-0x1.000b2d6342e74p+0', True, '0x0.0p+0', '0x1.9c7cf47fb4ae6p+0', 2),
+    (CONSTS, 1, 3, 0.05, '0x1.03523780b5f58p-1', True, '0x0.0p+0', '0x1.bce13238abe8ep+1', 3),
+    (CONSTS, 1, 3, 0.5, '-0x1.e3aa37e86774cp-1', True, '0x0.0p+0', '0x1.4c3f35ba78195p+1', 3),
+    (CONSTS, 1, 3, 2.0, '-0x1.ffe4ad7f2391ep-1', True, '0x0.0p+0', '0x1.4c3f35ba78195p+1', 3),
+    (CONSTS, 2, 5, 0.05, '0x1.09478f2d320a1p+4', True, '0x0.0p+0', '0x1.d8ed7b00e1af8p+3', 4),
+    (CONSTS, 2, 5, 0.5, '-0x1.e69351d02af49p-1', True, '0x0.0p+0', '0x1.308f469598c1ep+2', 4),
+    (CONSTS, 2, 5, 2.0, '-0x1.00052a279515dp+0', True, '0x0.0p+0', '0x1.308f469598c1ep+2', 4),
+    (CONSTS, 2, 1, 0.5, '-0x1.949ac20a6a236p-1', True, '0x1.02e5f9b5ac1c5p-47', '0x1.1bbd64fed001dp-1', 20),
+    (CONSTS, 2, 1, 2.0, '-0x1.fc96581407dbep-1', True, '0x1.ce34f3752886ap-45', '0x1.3d638cef0cf7ap-1', 26),
+    (CONSTS, 6, 1, 0.5, '-0x1.316e241b110dfp-4', True, '0x1.33d3e047350dbp-46', '0x1.979a635f4536cp-6', 21),
+    (CONSTS, 6, 1, 2.0, '-0x1.7b1ac561ebe18p-1', True, '0x1.303b33f6ec34fp-46', '0x1.52cf925b0ac05p-3', 31),
+    (B_ZERO, 1, 1, 0.05, '-0x1.0000000000000p+0', True, '0x0.0p+0', '0x1.0000000000000p+0', 1),
+    (B_ZERO, 1, 1, 0.5, '-0x1.0000000000000p+0', True, '0x0.0p+0', '0x1.0000000000000p+0', 1),
+    (B_ZERO, 1, 2, 0.05, '0x1.52f9cc903d068p+1', True, '0x0.0p+0', '0x1.52f9cc903d068p+1', 2),
+    (B_ZERO, 1, 2, 0.5, '0x1.2aa8534ad994cp+0', True, '0x0.0p+0', '0x1.2aa8534ad994cp+0', 2),
+    (B_ZERO, 1, 3, 0.05, '-0x1.0000000000000p+0', True, '0x0.0p+0', '0x1.0000000000000p+0', 3),
+    (B_ZERO, 1, 3, 0.5, '-0x1.0000000000000p+0', True, '0x0.0p+0', '0x1.0000000000000p+0', 3),
+    (B_ZERO, 2, 5, 0.05, '0x1.55a3f73cc324fp+4', True, '0x0.0p+0', '0x1.55a3f73cc324fp+4', 4),
+    (B_ZERO, 2, 5, 0.5, '-0x1.5d897a241a6fcp-1', True, '0x0.0p+0', '0x1.5d897a241a6fcp-1', 4),
+    (B_ZERO, 3, 1, 0.05, '-0x1.8f874f58d95a1p-5', True, '0x1.8f874f58d95a1p-5', '0x1.8f874f58d95a1p-5', 1),
+    (B_ZERO, 3, 1, 0.5, '-0x1.92e9a0720d3ebp-2', True, '0x1.92e9a0720d3ebp-2', '0x1.92e9a0720d3ebp-2', 1),
+    (B_ZERO, 3, 1, 2.0, '-0x1.bab5557101f8dp-1', True, '0x1.bab5557101f8dp-1', '0x1.bab5557101f8dp-1', 1),
+    (B_POS, 1, 3, 0.5, '-0x1.272234677c994p+0', True, '0x0.0p+0', '0x1.1bb306d54b5ecp-1', 3),
+    (B_POS, 3, 1, 0.5, '-0x1.568580173781fp-2', True, '0x1.7e99cfa19c936p-50', '0x1.c2ade2a5f933dp-2', 16),
+]
+
+
+def test_kernel_series_keeps_every_bit():
+    for c, n, m, tau, value, converged, last, max_term, terms in KERNEL_PINS:
+        s = american_kernel_series(n, m, tau, c)
+        if c.b == 0.0:
+            # b = 0 leaves one non-zero term, j = 0, and it is the whole
+            # series: counted like any other series, with an empty tail
+            last, terms = (0.0).hex(), 1
+        got = (s.value.hex(), s.converged, s.last_shell_magnitude.hex(), s.max_term.hex(),
+               s.terms_used)
+        assert got == (value, converged, last, max_term, terms), (c, n, m, tau)
+        assert s.record and s.record[-1].partial == s.value
+        if n <= m:  # the finite binomial is one shell of terms j = 0 .. m - n
+            assert [sh.label for sh in s.record] == [0] and s.exhausted
+            assert [j for j, _ in s.record[0].terms] == list(range(m - n + 1 if c.b else 1))
+
+
 def test_kernel_small_tau_limit():
     # for n > m the 1/p-smoothed transform vanishes at tau -> 0+
     for (n, m) in ((2, 1), (3, 1), (3, 2)):

@@ -4,7 +4,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mellinbarnes import mellin_core
 from mellinbarnes._summation import sum_shells
@@ -385,6 +385,37 @@ def test_sum_shells_skips_shells_without_nonzero_terms():
     assert (s.terms_used, s.exhausted, s.converged) == (3, False, True)
 
 
+def test_sum_shells_completes_a_series_whose_shells_return_true():
+    def shells(whole):
+        yield 0, [(0, 1.0), (1, 0.5)]
+        yield 1, [(2, 0.0)]
+        return whole
+
+    s = sum_shells(shells(True), tol=1e-12)
+    assert (s.value, s.terms_used, s.last_shell_magnitude, s.converged, s.exhausted) == (
+        1.5, 2, 0.0, True, True)
+    for whole in (False, None):
+        s = sum_shells(shells(whole), tol=1e-12)
+        assert (s.value, s.last_shell_magnitude, s.converged, s.exhausted) == (1.5, 1.5, False, True)
+
+
+def test_sum_shells_stopping_rule():
+    # three small shells converge; the shell that overflows or the fifth rise
+    # in a row past the tenth shell ends the series unconverged
+    s = sum_shells(iter([(k, [(k, 2.0 ** -60)]) for k in range(10)]), tol=1e-12, start=1.0)
+    assert (s.terms_used, s.converged, s.exhausted) == (3, True, False)
+    s = sum_shells(iter([(0, [(0, 1.0)]), (1, [(1, 1e300)]), (2, [(2, 1.0)])]), tol=1e-12)
+    assert (s.terms_used, s.last_shell_magnitude, s.converged, s.exhausted) == (2, 1e300, False, False)
+    rising = [(k, [(k, 1.5 ** k)]) for k in range(30)]
+    s = sum_shells(iter(rising), tol=1e-12)
+    assert (s.terms_used, s.converged, s.exhausted) == (11, False, False)
+    s = sum_shells(iter(rising), tol=1e-12, abort_on_divergence=False)
+    assert (s.terms_used, s.converged, s.exhausted) == (30, False, True)
+    falling_then_rising = [(k, [(k, 2.0 ** abs(k - 8))]) for k in range(30)]
+    s = sum_shells(iter(falling_then_rising), tol=1e-12)
+    assert s.terms_used == 14 and not s.converged
+
+
 def test_sum_shells_adds_mpmath_terms_to_one_plain_total():
     ctx = mpmath.MPContext()
     ctx.dps = 40
@@ -458,6 +489,40 @@ def test_divergence_detected():
     # beta-type right sum diverges for x < 1: terms x^{-(1+n)} grow
     res = sum_residues_1d(beta_z(0.3), Contour((0.5,)), Direction.RIGHT, max_terms=120)
     assert not res.converged
+
+
+def test_a_residue_beyond_the_float_range_ends_the_series_unconverged():
+    # the residues grow past 1e308 within the budget: math.exp overflows
+    f = GammaFraction((GammaLinearFactor((-0.5,), 0.0), GammaLinearFactor((2.0,), 1.5),
+                       GammaLinearFactor((2.0,), 0.0), GammaLinearFactor((2.0,), 1.5)),
+                      constant=-2.5)
+    res = sum_residues_1d(f, Contour((6.25,)), Direction.RIGHT, 1e-300, 88, False)
+    assert not res.converged and not res.exhausted
+    assert math.isinf(res.last_shell_magnitude) and math.isinf(res.value)
+
+
+def found_window_case():
+    """Gamma(-z)/Gamma(-z/2) 3^z left of z = 1000.5: 1001 poles z = 0..1000,
+    the even ones cancelled, marching towards the contour."""
+    return GammaFraction((GammaLinearFactor((-1.0,), 0.0),), (GammaLinearFactor((-0.5,), 0.0),),
+                         (PowerFactor(3.0, (1.0,)),))
+
+
+def test_a_finite_side_longer_than_the_window_is_not_complete():
+    # a budget of 20 reads poles z = 0..28 per family, the side's far end, and
+    # sums their 14 live poles: not the whole side, so not complete
+    f, cont = found_window_case(), Contour((1000.5,))
+    res = sum_residues_1d(f, cont, Direction.LEFT, max_terms=20, early_divergence_exit=False)
+    assert (res.terms_used, res.converged, res.exhausted) == (14, False, True)
+    assert res.last_shell_magnitude > 0.0
+    # left of z = 28.5 the window holds the whole side; left of z = 29.5 it
+    # misses z = 29, and the sum of the same 14 poles is not complete
+    res = sum_residues_1d(f, Contour((28.5,)), Direction.LEFT, max_terms=20,
+                          early_divergence_exit=False)
+    assert (res.terms_used, res.converged, res.last_shell_magnitude) == (14, True, 0.0)
+    res = sum_residues_1d(f, Contour((29.5,)), Direction.LEFT, max_terms=20,
+                          early_divergence_exit=False)
+    assert (res.terms_used, res.converged, res.exhausted) == (14, False, True)
 
 
 def test_converged_value_stable_under_doubling():
@@ -768,6 +833,7 @@ def series_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(series_cases())
+@example((found_window_case(), Contour((1000.5,)), Cone((Direction.LEFT,)), 1e-12, 20, False))
 def test_sum_residues_matches_the_per_dimension_loops(case):
     f, contour, cone, tol, budget, early = case
     if f.dim == 1:
@@ -775,6 +841,15 @@ def test_sum_residues_matches_the_per_dimension_loops(case):
         want = _series_fields(reference_sum_1d, f, contour, face, tol, budget, early)
         got = _series_fields(sum_residues_1d, f, contour, face, tol, budget, early)
         assert _series_fields(sum_residues, f, contour, cone, tol, budget, early) == got
+        if got != want:
+            # the one intended difference: the 1-D loop called a finite side
+            # complete when its candidate window held only the side's far end
+            assert _window_cuts_a_finite_side(f, contour.gamma[0], face, budget)
+            assert want[3] is True and want[2] == (0.0).hex() and got[3] is False
+            assert got[2] == (abs(float.fromhex(got[6][-1][1][0][1])).hex() if got[6]
+                              else (0.0).hex())
+            assert got[:2] + got[4:] == want[:2] + want[4:]
+            return
     else:
         want = _series_fields(reference_sum_2d, f, contour, cone, tol, budget)
         got = _series_fields(sum_residues_2d, f, contour, cone, tol, budget)
@@ -787,6 +862,16 @@ def test_sum_residues_matches_the_per_dimension_loops(case):
             assert got == want[:3] + (True,) + want[4:]
             return
     assert got == want
+
+
+def _window_cuts_a_finite_side(f, gamma, face, budget):
+    """True when every pole family of a 1-D fraction marches towards the
+    contour on `face` and one has its pole budget + 9, the first past a
+    series' candidate window, still on that face."""
+    families = [(fac.coeffs[0], fac.offset) for fac in f.numerator]
+    return (all((a > 0) is not (face is Direction.LEFT) for a, _ in families)
+            and any(mellin_core._side_of(-(budget + 9 + b) / a, gamma) is face
+                    for a, b in families))
 
 
 def _empty_lattice(f, contour, cone, budget):
@@ -807,6 +892,13 @@ def test_an_empty_lattice_is_complete_when_every_face_is_finite():
     # Gamma(z1) has infinitely many poles left of the contour: not complete
     res = sum_residues_2d(f, cont, Cone((Direction.LEFT, Direction.LEFT)), max_shells=1)
     assert (res.value, res.terms_used, res.converged, res.exhausted) == (0.0, 0, False, True)
+    # Gamma(1.5 - 2 z1) has 24 poles left of z1 = 12.5, more than a 10-shell
+    # window holds, but Gamma(2 z2 - 1) has none right of z2 = 6.25
+    f = GammaFraction(numerator=(GammaLinearFactor((-2.0, 0.0), 1.5),
+                                 GammaLinearFactor((0.0, 2.0), -1.0)))
+    res = sum_residues_2d(f, Contour((12.5, 6.25)), Cone((Direction.LEFT, Direction.RIGHT)),
+                          max_shells=10)
+    assert (res.value, res.terms_used, res.converged, res.exhausted) == (0.0, 0, True, True)
 
 
 def _unit(j, scale=1.0):
