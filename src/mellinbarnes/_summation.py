@@ -41,6 +41,27 @@ class KahanSum:
         self.value = t
 
 
+class _ShellFsum:
+    """Running total of mpmath terms, rounded once per shell: the terms added
+    since `value` was last read are summed with the total by one fsum of
+    their own context when it is read."""
+
+    __slots__ = ("_fsum", "_parts")
+
+    def __init__(self, start):
+        self._fsum = start.context.fsum
+        self._parts = [start]
+
+    def add(self, term):
+        self._parts.append(term)
+
+    @property
+    def value(self):
+        if len(self._parts) > 1:
+            self._parts = [self._fsum(self._parts)]
+        return self._parts[0]
+
+
 class Shell(NamedTuple):
     """One summed shell: its label, its non-zero (key, term) pairs, the signed
     sum of those terms and the partial sum of the series after the shell."""
@@ -75,10 +96,11 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
     """Sum an iterator of (label, [(key, term), ...]) shells in order, and
     decide how the series ends: the one stopping rule of the library.
 
-    The non-zero terms are added to `start`: compensated for a float start,
-    into one plain total for an mpmath start, whose guard digits make
-    compensation useless.  A shell with no non-zero term is skipped and never
-    reaches the stopping rule.  Every other shell's magnitude, the float sum
+    The non-zero terms are added to `start`: one by one and compensated for a
+    float start; for an mpmath start, each shell's terms and the running
+    total in one fsum of their context, so a shell is rounded once (its guard
+    digits make compensation useless).  A shell with no non-zero term is
+    skipped and never reaches the stopping rule.  Every other shell's magnitude, the float sum
     of its term magnitudes, ends the series
     - not converged, at OVERFLOW or above (inf and nan included);
     - converged, as the NEEDED-th consecutive one at or below
@@ -90,8 +112,7 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
     True has yielded the whole series: it is converged with an empty tail
     (last_shell_magnitude 0.0).  All returned numbers are floats.
     """
-    acc = KahanSum(start)
-    compensated = isinstance(start, float)
+    acc = KahanSum(start) if isinstance(start, float) else _ShellFsum(start)
     used = small = grow = 0
     last = 0.0  # magnitude of the last non-empty shell
     max_term = abs(float(start))
@@ -109,10 +130,7 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
         for key, t in pairs:
             if not t:
                 continue
-            if compensated:
-                acc.add(t)
-            else:
-                acc.value += t
+            acc.add(t)
             t = float(t)
             shell_sum += t
             a = abs(t)

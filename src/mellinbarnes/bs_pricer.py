@@ -3,12 +3,14 @@ closed form as oracle, plus the heat-kernel Mellin-Barnes evaluation.
 
 The series is the double sum over the residue lattice (n, m >= 0 with
 1+2n-m >= 0) of Gamma-fraction residues, plus an isolated "forward term"
-(S - K e^{-r tau})/2.  Terms are summed by anti-diagonal shells n+m = const
-with compensated summation.  Near-the-money the double-precision path is
-exact to ~1e-13; deep in/out of the money the series is a huge-cancellation
-sum, so the evaluator tracks the term/sum condition number and transparently
-reruns the identical summation at elevated precision when the roundoff floor
-would exceed the requested tolerance.
+(S - K e^{-r tau})/2.  Terms are summed by anti-diagonal shells n+m = const,
+walked in the same order by both passes below.  Near-the-money the
+double-precision pass (a term recurrence, compensated summation) is exact to
+~1e-13; deep in/out of the money the series is a huge-cancellation sum, so
+the evaluator tracks the term/sum condition number and transparently reruns
+the same shells at elevated precision when the roundoff floor would exceed
+the requested tolerance.  That pass builds each term from per-index tables
+and rounds each shell once with its running total.
 """
 
 from __future__ import annotations
@@ -122,10 +124,18 @@ def bs_series_term(n: int, m: int, c: OptionContract) -> float:
     return _INV_SQRT_2PI * sign * math.exp(coef_log) * strike_part
 
 
-def _series_sum(c: OptionContract, tol: float, max_shells: int, ctx) -> ResidueSeriesResult:
-    """Forward term plus the first max_shells anti-diagonal shells n + m = s of
-    the residue lattice, in the arithmetic of the mpmath context ctx
-    (mpmath.fp for double precision).
+def _lattice_shells(max_shells: int):
+    """The walk both passes take: the anti-diagonal shells n + m = s, s <
+    max_shells, of the residue lattice, each as (s, the n of its terms).  A
+    shell's terms are the (n, s - n) with p = 1+2n-m >= 0, i.e. n from
+    ceil((s-1)/3), in ascending n."""
+    for s in range(max_shells):
+        yield s, range((s + 1) // 3, s + 1)
+
+
+def _series_sum(c: OptionContract, tol: float, max_shells: int) -> ResidueSeriesResult:
+    """Forward term plus the first max_shells shells of the residue lattice,
+    in double precision.
 
     With x = [log]/(sigma sqrt tau) a term is (1/sqrt(2 pi)) (-1)^n d(n, m)
     (S - (-1)^m K e^{-r tau}), where d(n, m) = c(n, m) x^{1+2n-m}
@@ -135,47 +145,73 @@ def _series_sum(c: OptionContract, tol: float, max_shells: int, ctx) -> ResidueS
     the x-free part c(n0, m0) (sigma sqrt tau)^m0 of each shell's first term
     follows from the previous shell's by one rational factor, so no factorial,
     log or exp is evaluated per term.  Keeping x out of that chain lets x = 0
-    through: only the p = 0 terms survive there.
+    through: only the p = 0 terms survive there.  Tables of the factors would
+    overflow or underflow in floats, so this recurrence stays.
     """
-    S, K = ctx.mpf(c.spot), ctx.mpf(c.strike)
-    r, tau = ctx.mpf(c.rate), ctx.mpf(c.tau)
-    Kd = K * ctx.exp(-r * tau)
-    st = ctx.mpf(c.sigma) * ctx.sqrt(tau)
-    x = (ctx.log(S / K) + r * tau) / st
+    Kd = c.discounted_strike
+    st = c.sigma_sqrt_tau
+    x = log_moneyness(c) / st
     x3_st = x * x * x / st
-    inv = 1 / ctx.sqrt(2 * ctx.pi)
-    strike_part = (S - Kd, S + Kd)
+    strike_part = (c.spot - Kd, c.spot + Kd)
+    inv = _INV_SQRT_2PI
 
     def shells():
         # x-free part c(n0, m0) st^m0 of the shell's first term (n0, m0)
-        n0, m0, e0 = 0, 0, ctx.mpf(1)
-        for s in range(max_shells):
-            pw0 = pw = 1 + 2 * n0 - m0
+        e0 = 1.0
+        for s, ns in _lattice_shells(max_shells):
+            n0 = ns.start
+            if s:
+                # the first term steps n0 only after a first term with p = 0
+                e0 = e0 * (2 * n0 - 1) / 2 if n0 > prev else e0 * pw0 / (2 * (s - n0)) * st
+            prev = n0
+            pw0 = pw = 1 + 3 * n0 - s
             d = e0 * x ** pw
             pairs = []
-            for n in range(n0, s + 1):
+            for n in ns:
                 m = s - n
                 t = inv * d * strike_part[m % 2]
                 pairs.append(((n, m), -t if n % 2 else t))
                 d = d * (2 * (2 * n + 1) * m) / ((pw + 1) * (pw + 2) * (pw + 3)) * x3_st
                 pw += 3
             yield s, pairs
-            if pw0 > 0:
-                e0 = e0 * pw0 / (2 * (m0 + 1)) * st
-                m0 += 1
-            else:
-                e0 = e0 * (2 * n0 + 1) / 2
-                n0 += 1
 
     # the lattice sum is entire: shell growth is transient, never divergence
-    return sum_shells(shells(), tol, abort_on_divergence=False, start=(S - Kd) / 2)
+    return sum_shells(shells(), tol, abort_on_divergence=False, start=(c.spot - Kd) / 2)
 
 
 def _series_sum_mp(c: OptionContract, tol: float, max_shells: int, dps: int) -> ResidueSeriesResult:
-    """The identical shell summation in a private mpmath context at dps digits."""
+    """The same shells as _series_sum, in a private mpmath context at dps digits.
+
+    A term factors as (-1)^n (2n-1)!! * [inv (S - (-1)^m K e^{-r tau})
+    (sigma sqrt tau)^m / (2^m m!)] * [x^p / p!] with p = 1+2n-m and inv =
+    1/sqrt(2 pi), so it is two multiplies of three per-index tables: A[n] as
+    exact signed integers, B[m] and C[p] as mpf, each extended when a shell
+    first needs the index.
+    """
     ctx = mpmath.MPContext()
     ctx.dps = dps
-    return _series_sum(c, tol, max_shells, ctx)
+    S, K = ctx.mpf(c.spot), ctx.mpf(c.strike)
+    r, tau = ctx.mpf(c.rate), ctx.mpf(c.tau)
+    Kd = K * ctx.exp(-r * tau)
+    st = ctx.mpf(c.sigma) * ctx.sqrt(tau)
+    x = (ctx.log(S / K) + r * tau) / st
+    inv = 1 / ctx.sqrt(2 * ctx.pi)
+    strike_part = (inv * (S - Kd), inv * (S + Kd))
+
+    def shells():
+        A, B, C = [1], [], [ctx.mpf(1)]
+        st_m = ctx.mpf(1)  # st^m / (2^m m!) of the next B[m]
+        for s, ns in _lattice_shells(max_shells):
+            while len(A) <= s:
+                A.append(-(2 * len(A) - 1) * A[-1])
+            while len(B) <= s - ns.start:
+                B.append(strike_part[len(B) % 2] * st_m)
+                st_m = st_m * st / (2 * len(B))
+            while len(C) <= 2 * s + 1:
+                C.append(C[-1] * x / len(C))
+            yield s, [((n, s - n), A[n] * B[s - n] * C[1 + 3 * n - s]) for n in ns]
+
+    return sum_shells(shells(), tol, abort_on_divergence=False, start=(S - Kd) / 2)
 
 
 def bs_series(c: OptionContract, tol: float = 1e-10, max_shells: int = 200) -> ResidueSeriesResult:
@@ -187,7 +223,7 @@ def bs_series(c: OptionContract, tol: float = 1e-10, max_shells: int = 200) -> R
     """
     require_integer("max_shells", max_shells)
     require_positive("tol and max_shells", tol, max_shells)
-    s = _series_sum(c, tol, max_shells, mpmath.fp)
+    s = _series_sum(c, tol, max_shells)
     cond = s.max_term / max(abs(s.value), 1e-300)
     if abs(log_moneyness(c)) / c.sigma_sqrt_tau > MONEYNESS_SERIES_LIMIT:
         s.converged = False

@@ -62,6 +62,12 @@ def _fmt(x) -> str:
 def _json_render(obj, indent=0) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
     pad = " " * indent
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return pad + format(obj, ".17g")
+        return pad + json.dumps(str(obj))
+    if type(obj) is int:
+        return pad + str(obj)
     if isinstance(obj, dict):
         items = [f'{pad}  {json.dumps(k)}: {_json_render(v, indent + 2).lstrip()}'
                  for k, v in sorted(obj.items())]
@@ -69,12 +75,6 @@ def _json_render(obj, indent=0) -> str:
     if isinstance(obj, (list, tuple)):
         items = [_json_render(v, indent + 2) for v in obj]
         return pad + "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return pad + json.dumps(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return pad + json.dumps(str(obj))
-        return pad + _fmt(obj)
     return pad + json.dumps(obj)
 
 

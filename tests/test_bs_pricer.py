@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from mellinbarnes import bs_pricer
 from mellinbarnes.bs_pricer import (
     MONEYNESS_SERIES_LIMIT,
     OptionContract,
@@ -90,7 +91,7 @@ def test_series_near_money_region():
 
 def test_recurrence_shells_match_closed_form_terms():
     # tol = 0 never stops: the record holds every term of the first 60 shells
-    record = _series_sum(REFERENCE_CONTRACT, 0.0, 60, mpmath.fp).record
+    record = _series_sum(REFERENCE_CONTRACT, 0.0, 60).record
     assert [shell.label for shell in record] == list(range(60))
     worst = 0.0
     for shell in record:
@@ -228,6 +229,60 @@ def test_escalated_bits_are_pinned(params, bits):
     got = (res.value.hex(), res.terms_used, res.converged, res.max_term.hex(),
            hashlib.sha256(floats.encode()).hexdigest()[:16])
     assert got == bits
+
+
+# (q, tau, rate, sigma) at strike 100, spot 100 exp(q sigma sqrt(tau) - rate tau),
+# so q = [log] / (sigma sqrt tau): contracts whose float pass escalates
+ESCALATING = [
+    (-5.5, 1.0, 0.02, 0.2), (-5.0, 0.3, 0.04, 0.5), (-4.5, 0.5, 0.05, 0.3),
+    (-4.0, 2.0, 0.0, 0.15), (-3.5, 0.25, 0.01, 0.45), (-3.0, 1.0, 0.03, 0.25),
+    (-2.7, 1.0, 0.02, 0.2), (5.4, 1.0, 0.05, 0.45), (5.45, 2.5, 0.02, 0.3),
+    (5.5, 0.4, 0.02, 0.5),
+]
+
+
+def _lattice_terms_mp(c, ctx):
+    """The forward term and bs_series_term's closed form as a function of
+    (n, m), evaluated in the mpmath context ctx."""
+    S, K = ctx.mpf(c.spot), ctx.mpf(c.strike)
+    r, tau, sigma = ctx.mpf(c.rate), ctx.mpf(c.tau), ctx.mpf(c.sigma)
+    st = sigma * ctx.sqrt(tau)
+    L = ctx.log(S / K) + r * tau
+    strike_part = (S - K * ctx.exp(-r * tau), S + K * ctx.exp(-r * tau))
+    inv = 1 / ctx.sqrt(2 * ctx.pi)
+
+    def term(n, m):
+        p = 1 + 2 * n - m
+        coef = ctx.mpf((-1) ** n * math.factorial(2 * n)) / (
+            2 ** (n + m) * math.factorial(n) * math.factorial(m) * math.factorial(p))
+        return inv * coef * strike_part[m % 2] * L ** p * st ** (-1 + 2 * (m - n))
+
+    return strike_part[0] / 2, term
+
+
+@pytest.mark.parametrize("q, tau, rate, sigma", ESCALATING)
+def test_escalated_terms_match_closed_form_terms_at_higher_precision(monkeypatch, q, tau, rate, sigma):
+    c = OptionContract(100.0 * math.exp(q * sigma * math.sqrt(tau) - rate * tau), 100.0, tau, rate, sigma)
+    tol = min(1e-10, 1e-9 * bs_closed_form(c))
+    digits = []
+    elevated = bs_pricer._series_sum_mp
+
+    def spy(c, tol, max_shells, dps):
+        digits.append(dps)
+        return elevated(c, tol, max_shells, dps)
+
+    monkeypatch.setattr(bs_pricer, "_series_sum_mp", spy)
+    res = bs_series(c, tol=tol)
+    assert res.converged and len(digits) == 1
+    ctx = mpmath.MPContext()
+    ctx.dps = digits[0] + 20
+    total, term = _lattice_terms_mp(c, ctx)
+    for shell in res.record:
+        for (n, m), t in shell.terms:
+            want = term(n, m)
+            assert t == float(want), (n, m)
+            total += want
+    assert res.value == float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,17 @@ def test_sum_shells_adds_mpmath_terms_to_one_plain_total():
     assert type(s.last_shell_magnitude) is float
 
 
+def test_sum_shells_rounds_an_mpmath_shell_once():
+    # adding 2^60, 1, -2^60 one at a time at 53 bits loses the 1; summed
+    # with the running total in one fsum, the shell keeps it
+    ctx = mpmath.MPContext()
+    ctx.dps = 15
+    big = ctx.mpf(2) ** 60
+    s = sum_shells(iter([(0, [(0, big), (1, ctx.mpf(1)), (2, -big)])]), tol=1e-12, start=ctx.mpf(0))
+    assert s.value == 1.0
+    assert s.record[0].partial == 1.0 and s.exhausted
+
+
 def test_series_results_are_real_floats():
     cont = Contour((1.0, 1.0))
     deep_otm = OptionContract(spot=60.0, strike=100.0, tau=1.0, rate=0.0, sigma=0.1)
