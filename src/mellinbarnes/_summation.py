@@ -104,7 +104,8 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
     of its term magnitudes, ends the series
     - not converged, at OVERFLOW or above (inf and nan included);
     - converged, as the NEEDED-th consecutive one at or below
-      tol * max(1, |partial sum|);
+      tol * max(1, |partial sum|); never with tol 0.0, since the magnitude
+      of a shell with a non-zero term is positive;
     - not converged, with abort_on_divergence, as the DIVERGE_RUN-th
       consecutive increase past the first DIVERGE_GRACE shells.  Callers
       summing entire series (growth is always transient there) leave it off.

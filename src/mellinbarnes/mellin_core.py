@@ -22,7 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, takewhile
+from itertools import islice
 from operator import getitem, itemgetter
 from typing import Optional, Sequence
 
@@ -154,7 +154,9 @@ class GammaFraction:
 
 @dataclass(frozen=True)
 class Contour:
-    """Vertical-line abscissae gamma; must lie inside the fundamental strip."""
+    """Vertical-line abscissae gamma.  Any abscissa off the divisors is accepted.
+    Outside the fundamental strip a side may hold finitely many poles; a
+    residue sum over such a side sums them whole."""
 
     gamma: tuple
 
@@ -219,39 +221,40 @@ def _side_of(loc: float, gamma: float) -> Optional[Direction]:
 def _pole_family(i: int, a: float, b: float, gamma: float, direction: Direction,
                  max_index: int):
     """Entries (|loc - gamma|, loc, i, k) of the poles loc = -(k + b)/a,
-    0 <= k <= max_index, of numerator factor i that lie on `direction`'s side
-    of gamma, nearest first.  Float arithmetic is monotone in k, so the side's
-    poles form one run of indices and their distances never decrease.  A
-    non-finite |loc| at k = 0 or k = min(max_index, 2**53), where it peaks,
-    raises ValueError (k + b is inexact beyond 2**53, which no series reaches)."""
+    0 <= k <= max_index, of numerator factor i on `direction`'s side of
+    gamma, nearest first, as a lazy run.  Float arithmetic is monotone in k,
+    so the first k past the contour splits the indices: the side holds those
+    from it up if the poles march away from the contour, those below it if
+    they march towards it.  k + b is inexact beyond 2**53, _pole_stream's
+    default max_index, which no series reaches.  A non-finite |loc| at k = 0
+    or k = min(max_index, 2**53), where it peaks, raises ValueError."""
     if not (math.isfinite(b / a) and math.isfinite((min(max_index, 2**53) + b) / a)):
         raise ValueError(f"numerator factor {i} (a={a}, b={b}) has poles beyond the float range")
+    away = (a > 0) is (direction is Direction.LEFT)
 
     def entry(k):
         loc = -(k + b) / a
         return abs(loc - gamma), loc, i, k
 
-    if (a > 0) is (direction is Direction.LEFT):
-        # the poles march away from the contour: a run from the first k past it,
-        # k > -a gamma - b, corrected for POLE_TOL and rounding
-        x = -a * gamma - b
-        k = 0 if x < 0 else max_index + 1 if x >= max_index else math.floor(x) + 1
-        while k > 0 and _side_of(entry(k - 1)[1], gamma) is direction:
-            k -= 1
-        while k <= max_index and _side_of(entry(k)[1], gamma) is not direction:
-            k += 1
-        return map(entry, range(k, max_index + 1))
-    # the poles march towards the contour: a finite run, nearest last
-    run = list(takewhile(lambda e: _side_of(e[1], gamma) is direction,
-                         map(entry, range(max_index + 1))))
-    return reversed(run)
+    def past(k):
+        return (_side_of(-(k + b) / a, gamma) is direction) is away
+
+    # the first k > -a gamma - b, corrected for POLE_TOL and rounding
+    x = -a * gamma - b
+    k = 0 if x < 0 else max_index + 1 if x >= max_index else math.floor(x) + 1
+    while k > 0 and past(k - 1):
+        k -= 1
+    while k <= max_index and not past(k):
+        k += 1
+    return map(entry, range(k, max_index + 1) if away else range(k - 1, -1, -1))
 
 
 def _pole_stream(f: GammaFraction, axis: int, gamma: float, direction: Direction,
-                 max_index: int):
+                 max_index: int = 2**53):
     """Candidate pole locations of the numerator factors that are axis-parallel in
-    `axis`, on one side of gamma, indices 0..max_index per factor: a heap merge of
-    the factors' runs ordered by (|loc - gamma|, loc).
+    `axis`, on one side of gamma, indices 0..max_index per factor: a lazy heap
+    merge of the factors' _pole_family runs ordered by (|loc - gamma|, loc), so
+    the side's poles come as one nearest-first stream whatever their family.
 
     Locations equal under round(loc, 9) are one pole; its float is the earliest
     factor's, then the smallest k's.  Such floats lie within 1e-9 of each other,
@@ -295,7 +298,8 @@ class _Poles(dict):
     """One axis of a _ResiduePlan: its candidate pole locations `locs`, and
     their records by position, each built when first read.  A series reads the
     locations from the axis's _pole_stream in chunks of 16, 32, 64, ..., so it
-    reads only as far as it sums; other callers give them whole.  `num` and
+    reads only as far as it sums; other callers give them whole.  The stream
+    runs dry only on a face that holds finitely many poles.  `num` and
     `den` hold (coefficient, offset) of the axis's numerator and denominator
     factors, `pw` (coefficient, offset, log base) of its powers."""
 
@@ -315,16 +319,9 @@ class _Poles(dict):
         return len(self.locs)
 
     def finite(self, direction: Direction) -> bool:
-        """True when every pole family of this axis marches away from the side:
-        the candidate list is then the complete pole set on that side."""
+        """True when every pole family of this axis marches towards the contour
+        from the side: the side then holds finitely many poles."""
         return all((a > 0) is not (direction is Direction.LEFT) for a, _ in self.num)
-
-    def held(self, direction: Direction, gamma: float, max_index: int) -> bool:
-        """True unless a family has pole max_index + 1 on the side: a finite
-        side's candidates, pole indices 0..max_index per family, are then its
-        complete pole set, not the far end of a longer run."""
-        return all(_side_of(-(max_index + 1 + b) / a, gamma) is not direction
-                   for a, b in self.num)
 
     def __missing__(self, n: int) -> list:
         rec = self[n] = self._build(self.locs[n])
@@ -516,28 +513,32 @@ def sum_residues(f: GammaFraction, contour: Contour, cone: Cone, tol: float = 1e
     """Residue series over the divisor-intersection lattice inside an orthant
     cone with vertex at the contour, in any number d of variables.
 
-    Axis j numbers its poles on face j 0, 1, ... by distance from the contour.
-    Shell s holds the index tuples with k1 + ... + kd = s, lexicographically;
-    the series ends at the first shell with no lattice point or by the
-    stopping rule of sum_shells.  The value carries the product of the face
-    orientations (+ LEFT, - RIGHT), so it estimates the integral itself.
-    In 1-D a shell is one pole, labelled and keyed by its location, and
-    `budget` counts non-zero terms (cancelled poles are free); for d >= 2 a
-    shell is labelled s and keyed by index tuples, and `budget` counts shells.
-    The early divergence exit may be disabled to sum through transient growth.
-    A sum that visits the whole lattice within the budget is complete when
-    every face is finite and the lattice is empty or each face's candidate
-    window, pole indices 0 .. budget + 8 of each family, holds all its poles."""
+    Axis j numbers the poles of face j 0, 1, ... by distance from the contour,
+    all its families merged.  Shell s holds the index tuples with
+    k1 + ... + kd = s, lexicographically.  The value carries the product of
+    the face orientations (+ LEFT, - RIGHT), so it estimates the integral
+    itself.  In 1-D a shell is one pole, labelled and keyed by its location,
+    and `budget` counts non-zero terms: cancelled and underflowed poles are
+    free, but at most (budget + 9) * len(f.numerator) poles are read.  For
+    d >= 2 a shell is labelled s and keyed by index tuples, and `budget`
+    counts shells.  The early divergence exit may be disabled to sum through
+    transient growth.
+
+    The series is complete at the first shell with no lattice point left: a
+    face holds no pole (the value is exactly 0), or every face is finite and
+    the lattice is summed.  A lattice of finite faces has no tail, so no
+    stopping rule applies: it is summed whole unless the budget cuts it.
+    Otherwise the stopping rule of sum_shells ends the series."""
     d = f.dim
     if contour.dim != d or len(cone.faces) != d:
         raise ValueError(f"a {d}-variable fraction needs {d} contour abscissae and cone faces")
     require_integer("budget", budget)
     require_positive("tol and budget", tol, budget)
-    window = budget + 8  # the last pole index read per family
-    axes = [_Poles(_pole_stream(f, j, contour.gamma[j], cone.faces[j], window))
-            for j in range(d)]
+    axes = [_Poles(_pole_stream(f, j, contour.gamma[j], cone.faces[j])) for j in range(d)]
     plan = _ResiduePlan(f, axes)
     orient = math.prod(1.0 if face is Direction.LEFT else -1.0 for face in cone.faces)
+    # in 1-D, s counts the poles read; for d >= 2, s = used and the budget binds first
+    reads = (budget + 9) * len(f.numerator)
 
     def shells():
         used = s = ready = 0  # while s < ready, every axis holds pole s
@@ -547,13 +548,8 @@ def sum_residues(f: GammaFraction, contour: Contour, cone: Cone, tol: float = 1e
                 n = [p.read(s) for p in axes]
                 ready = min(n)
                 if not ready or s > sum(n) - d:
-                    # no lattice point at this shell or beyond: the whole lattice
-                    # when every face is finite, and an axis has no pole or
-                    # every window holds all the poles of its face
-                    return all(map(_Poles.finite, axes, cone.faces)) and (
-                        not ready or all(p.held(face, g, window)
-                                         for p, face, g in zip(axes, cone.faces, contour.gamma)))
-            if used >= budget:
+                    return True  # no lattice point at this shell or beyond
+            if used >= budget or s >= reads:
                 return False
             if d > 1:
                 used += 1
@@ -566,6 +562,8 @@ def sum_residues(f: GammaFraction, contour: Contour, cone: Cone, tol: float = 1e
                 yield loc, [(loc, orient * term)]
             s += 1
 
+    if all(map(_Poles.finite, axes, cone.faces)):
+        return sum_shells(shells(), 0.0, abort_on_divergence=False)
     return sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit)
 
 

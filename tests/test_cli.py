@@ -244,9 +244,9 @@ PINNED = [
      (0, "b39c7dad3f4a5d8684e70d93d5805ee7bf14400429c1db6ca0df49c0bec7f372")),
     (["green", "--alpha", "1", "--gamma-t", "1", "--theta", "0", "--mu", "1", "--tau", "1",
       "--x-grid=0.5:1.001:0.4995", "--max-terms", "30"],
-     (3, "14cf9b791a81e4032bf0128a8644a04bf9963265874f33d741874936f4e41b68"),
-     (3, "2ff2bee8748ae4ae65b3b30bed0571f67ca6a67d779f5237b635057ced84e152"),
-     (3, "c2f5f259e1dd5143992ccce1fee19fe037612555c3ad101474c9c6033a0d4289")),
+     (3, "33ed744319554bb301c69754dcd427927bd252c2620b06f2bc368613d7ec1ab2"),
+     (3, "a8f9b5ce2c1643c834c604d186c54e7303454aeb8e730e3a71b0e4ad0fd2564a"),
+     (3, "5bbc24f9962e28255b8e61f7a9ea97e6b0daca40f1acc0dc0fa113a1e746e2fa")),
     (["american", "boundary", "--rate", "0.1", "--sigma", "0.3", "--tau-grid", "0.5:1.0:0.5"],
      (0, "afc5acda13fe7e4b9341549458af73a199e4536af14f0ae23bbcf19f2d78ebf7"),
      (0, "168acd9629c9aa0ebd87985ef8b5cc5835768fc02b811530c726c90ada75c940"),

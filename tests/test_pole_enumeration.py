@@ -1,11 +1,13 @@
-"""The lazy pole enumerator against the eager one it replaced, the work a
-series pays for its poles, and the 2-D finite-lattice rules that depend on
-how far each axis has been read."""
+"""The lazy pole enumerator against the eager one it replaced, a series'
+terms against the eager poles, the work a series pays for its poles, and
+the 2-D finite-lattice rules that depend on how far each axis has been
+read."""
 
 import math
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mellinbarnes import mellin_core
 from mellinbarnes.fractional_green import FractionalDiffusionParams, green_fraction
@@ -15,9 +17,11 @@ from mellinbarnes.mellin_core import (
     Direction,
     GammaFraction,
     GammaLinearFactor,
+    PoleOrderError,
     PowerFactor,
     _axis_of,
     _pole_stream,
+    _residue_at_point,
     _side_of,
     compatible_cone_2d,
     sum_residues_1d,
@@ -97,6 +101,54 @@ def test_rounding_collisions_keep_the_first_factors_float():
     for direction in (LEFT, RIGHT):
         eager, lazy = hexes(f, 0.5, direction, 2008)
         assert lazy == eager
+
+
+@st.composite
+def series_1d(draw):
+    """A 1-D fraction whose denominators may cancel some numerator poles, a
+    contour, a side, a tolerance, a budget and the divergence exit."""
+    numerator = draw(FACTORS)
+    factor = st.builds(lambda a, b: GammaLinearFactor((a,), b), SLOPES, OFFSETS)
+    denominator = draw(st.lists(st.one_of(st.sampled_from(numerator), factor), max_size=2))
+    powers = draw(st.lists(st.builds(lambda x, c: PowerFactor(x, (c,)), st.floats(0.1, 5.0),
+                                     st.sampled_from([1.0, -1.0, 0.5])), max_size=1))
+    f = GammaFraction(tuple(numerator), tuple(denominator), tuple(powers))
+    return (f, draw(contours(numerator)), draw(st.sampled_from([LEFT, RIGHT])),
+            draw(st.sampled_from([1e-12, 1e-6, 1e-300])),
+            draw(st.one_of(st.integers(1, 16), st.integers(1, 300))), draw(st.booleans()))
+
+
+# Gamma(-z)/Gamma(-z/2) 3^z left of z = 1000.5: 1001 poles marching towards
+# the contour, the even ones cancelled, the farthest from z = 0 underflowing
+FOUND_FINITE_SIDE = GammaFraction((GammaLinearFactor((-1.0,), 0.0),),
+                                  (GammaLinearFactor((-0.5,), 0.0),), (PowerFactor(3.0, (1.0,)),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_1d())
+@example((FOUND_FINITE_SIDE, 1000.5, LEFT, 1e-12, 1000, False))
+def test_a_series_sums_the_nearest_poles_with_no_gap(case):
+    f, gamma, direction, tol, budget, early = case
+    try:
+        res = sum_residues_1d(f, Contour((gamma,)), direction, tol, budget, early)
+    except PoleOrderError:
+        return
+    # a family's first pole on the side has index at most ceil(first) + 1 and
+    # the series reads at most `reads` poles, so the eager candidates hold them
+    reads = (budget + 9) * len(f.numerator)
+    first = max(abs(fac.coeffs[0] * gamma) + abs(fac.offset) for fac in f.numerator)
+    eager = eager_locations(f, 0, gamma, direction, reads + math.ceil(first) + 1)
+    orient = 1.0 if direction is LEFT else -1.0
+    live = ((loc, orient * t) for loc in eager if (t := _residue_at_point(f, (loc,))) != 0.0)
+    summed = [term for shell in res.record for term in shell.terms]
+    assert summed == list(islice(live, len(summed)))
+    if res.converged and all((fac.coeffs[0] > 0) is (direction is RIGHT) for fac in f.numerator):
+        # every family marches towards the contour: a finite side, summed
+        # whole; compensated summation is off by at most about 2**-52 times
+        # the sum of the magnitudes, past 1e-12 of the value when they cancel
+        every = [orient * _residue_at_point(f, (loc,)) for loc in eager]
+        assert res.value == pytest.approx(math.fsum(every), rel=1e-12,
+                                          abs=1e-15 * math.fsum(map(abs, every)))
 
 
 def _counting(monkeypatch):
