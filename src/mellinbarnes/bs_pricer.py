@@ -103,6 +103,7 @@ def bs_series_term(n: int, m: int, c: OptionContract) -> float:
     (1/sqrt(2 pi)) (-1)^n (2n)! / (2^{n+m} n! m! (1+2n-m)!)
       * (S - (-1)^m K e^{-r tau}) * [log]^{1+2n-m} * (sigma sqrt(tau))^{-1+2(m-n)}
     """
+    require_integer("term indices", n, m)
     if n < 0 or m < 0:
         raise ValueError("term indices must be nonnegative")
     pw = 1 + 2 * n - m

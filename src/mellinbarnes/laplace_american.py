@@ -164,6 +164,7 @@ def laguerre_coefficients(n: int, alpha: float, nu: float) -> list:
     inverse-Laplace identity for p^n/(p+alpha)^nu to hold (validated against
     the Bromwich oracle in the test suite).
     """
+    require_integer("polynomial order", n)
     if n < 0:
         raise ValueError("polynomial order must be nonnegative")
     coeffs = {0: 1.0}
@@ -333,8 +334,8 @@ def inverse_laplace(sym: LaplaceSymbol, x: float, tol: float = 1e-9) -> Inversio
 def american_kernel_symbol(n: int, m: int, c: AmericanConstants) -> LaplaceSymbol:
     """Raw kernel image e^{p tau}-ready symbol
     (p+gamma)^m / (p (b+sqrt(p+a^2))^n (b-sqrt(p+a^2))^m), principal sqrt."""
-    if n < 1 or m < 1:
-        raise ValueError("kernel orders n, m must be positive integers")
+    require_integer("kernel orders n, m", n, m)
+    require_positive("kernel orders n, m", n, m)
     g, a2, b = c.gamma_c, c.a * c.a, c.b
 
     def phi(p):
@@ -453,11 +454,9 @@ def american_kernel_series(n: int, m: int, tau: float, c: AmericanConstants,
     w^k/p, summed as one shell.  The b = 0 degenerate case collapses to the
     single j = 0 term.  The sign (-1)^m is exact, so it goes into every term.
     """
-    if n < 1 or m < 1:
-        raise ValueError("kernel orders n, m must be positive integers")
+    require_integer("kernel orders n, m and max_shells", n, m, max_shells)
+    require_positive("kernel orders n, m, tol and max_shells", n, m, tol, max_shells)
     require_finite("tau", tau)
-    require_integer("max_shells", max_shells)
-    require_positive("tol and max_shells", tol, max_shells)
     if tau <= 0.0:
         raise ValueError("american_kernel_series requires tau > 0")
     a, b = c.a, c.b

@@ -19,12 +19,12 @@ multiply.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from operator import getitem, itemgetter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._summation import ResidueSeriesResult, sum_shells
 from .special_functions import (POLE_TOL, pole_index, real_gamma_sign, require_finite,
@@ -154,9 +154,9 @@ class GammaFraction:
 
 @dataclass(frozen=True)
 class Contour:
-    """Vertical-line abscissae gamma.  Any abscissa off the divisors is accepted.
-    Outside the fundamental strip a side may hold finitely many poles; a
-    residue sum over such a side sums them whole."""
+    """Vertical-line abscissae gamma.  Any abscissa off the divisors is accepted;
+    on one, every series raises ContourOnDivisorError.  Outside the fundamental
+    strip a side may hold finitely many poles; a residue sum sums them whole."""
 
     gamma: tuple
 
@@ -216,6 +216,17 @@ def _side_of(loc: float, gamma: float) -> Optional[Direction]:
     if loc > gamma + POLE_TOL:
         return Direction.RIGHT
     return None
+
+
+def _require_off_divisors(f: GammaFraction, contour: Contour) -> None:
+    """Raise ContourOnDivisorError if, by _side_of's rule, the contour is on the pole
+    -(k + b)/a nearest gamma, k = round(-a gamma - b) >= 0, of an axis-parallel factor."""
+    for fac in f.numerator:
+        if (j := _axis_of(fac)) is not None:
+            a, b, g = fac.coeffs[j], fac.offset, contour.gamma[j]
+            k = round(min(max(-a * g - b, 0.0), 2.0**53))
+            if _side_of(-(k + b) / a, g) is None:
+                raise ContourOnDivisorError(f"contour is on a divisor of {fac} in variable {j}")
 
 
 def _pole_family(i: int, a: float, b: float, gamma: float, direction: Direction,
@@ -290,32 +301,28 @@ def _pole_stream(f: GammaFraction, axis: int, gamma: float, direction: Direction
 
 
 def _candidate_locations_1d(stream, count: int) -> list:
-    """The next `count` locations of a _pole_stream (fewer once it runs dry)."""
-    return list(islice(stream, count))
+    """The next `count` locations of a _Poles iterator (fewer once it runs dry)."""
+    return list(itertools.islice(stream, count))
 
 
 class _Poles(dict):
-    """One axis of a _ResiduePlan: its candidate pole locations `locs`, and
-    their records by position, each built when first read.  A series reads the
-    locations from the axis's _pole_stream in chunks of 16, 32, 64, ..., so it
-    reads only as far as it sums; other callers give them whole.  The stream
-    runs dry only on a face that holds finitely many poles.  `num` and
-    `den` hold (coefficient, offset) of the axis's numerator and denominator
-    factors, `pw` (coefficient, offset, log base) of its powers."""
+    """One axis of a _ResiduePlan: the candidate pole locations `locs` read so
+    far from an iterable (a _pole_stream, or a finite sequence), and their
+    records by position, each built when first read.  `read(n)` and record n
+    read exactly through location n.  A _pole_stream runs dry only on a face
+    holding finitely many poles.  `num` and `den` hold (coefficient, offset)
+    of the axis's numerator and denominator factors, `pw` (coefficient,
+    offset, log base) of its powers."""
 
-    __slots__ = ("locs", "done", "num", "den", "pw", "_stream", "_chunk")
+    __slots__ = ("locs", "num", "den", "pw", "_stream")
 
-    def __init__(self, stream=None, locs: Sequence = ()):
-        self.locs, self.done, self._stream, self._chunk = list(locs), stream is None, stream, 16
-        self.num, self.den, self.pw = [], [], []
+    def __init__(self, locs):
+        self.locs, self._stream, self.num, self.den, self.pw = [], iter(locs), [], [], []
 
     def read(self, n: int) -> int:
         """The number of locations held once read through location n or to the end."""
-        while n >= len(self.locs) and not self.done:
-            got = _candidate_locations_1d(self._stream, self._chunk)
-            self.locs.extend(got)
-            self.done = len(got) < self._chunk
-            self._chunk *= 2
+        if n >= len(self.locs):
+            self.locs += _candidate_locations_1d(self._stream, n + 1 - len(self.locs))
         return len(self.locs)
 
     def finite(self, direction: Direction) -> bool:
@@ -324,6 +331,7 @@ class _Poles(dict):
         return all((a > 0) is not (direction is Direction.LEFT) for a, _ in self.num)
 
     def __missing__(self, n: int) -> list:
+        self.read(n)
         rec = self[n] = self._build(self.locs[n])
         return rec
 
@@ -361,7 +369,7 @@ class _Poles(dict):
 
 
 class _ResiduePlan:
-    """A Gamma fraction compiled for residues on its pole lattice.
+    """A Gamma fraction compiled for residues on its lattice: a _Poles axis per stream.
 
     A residue is a sign times exp(logmag).  An axis-parallel factor or power
     adds to logmag a term of one coordinate, so each (axis, pole) has one
@@ -374,13 +382,12 @@ class _ResiduePlan:
     Diagonal factors and powers are evaluated per point.
     """
 
-    __slots__ = ("axes", "constant", "num_axes", "diag", "order")
+    __slots__ = ("axes", "constant", "diag", "order")
 
-    def __init__(self, f: GammaFraction, axes: Optional[list] = None):
+    def __init__(self, f: GammaFraction, streams: Iterable):
         d = f.dim
-        self.axes = [_Poles() for _ in range(d)] if axes is None else axes
+        self.axes = [_Poles(locs) for locs in streams]
         self.constant = f.constant
-        self.num_axes = [_axis_of(fac) for fac in f.numerator]  # None: diagonal
         self.diag = []  # (s, factor): s = 1.0 numerator, -1.0 denominator, 0.0 power
         placed = []  # the axis of each factor and power, d if diagonal
         for s, facs in ((1.0, f.numerator), (-1.0, f.denominator), (0.0, f.powers)):
@@ -412,7 +419,7 @@ def _residue_at_point(plan, point: Sequence) -> float:
     range gives +-inf; a net order above 1 or a singular diagonal numerator
     factor raises PoleOrderError."""
     if isinstance(plan, GammaFraction):
-        plan, point = _ResiduePlan(plan, [_Poles(locs=(x,)) for x in point]), (0,) * len(point)
+        plan, point = _ResiduePlan(plan, [(x,) for x in point]), (0,) * len(point)
     rs = list(map(getitem, plan.axes, point))
     z = [ax.locs[n] for ax, n in zip(plan.axes, point)] if plan.diag else None
     # the integrand is real on the lattice: accumulate sign and log-magnitude
@@ -459,12 +466,12 @@ def enumerate_poles_1d(f: GammaFraction, direction: Direction, max_index: int,
     require_integer("max_index", max_index)
     if max_index < 0:
         raise ValueError(f"max_index must be at least 0, got {max_index}")
+    _require_off_divisors(f, contour)
+    (poles,) = _ResiduePlan(f, [_pole_stream(f, 0, contour.gamma[0], direction, max_index)]).axes
+    poles.read((max_index + 1) * len(f.numerator))  # past the side's last candidate
     out = []
-    stream = _pole_stream(f, 0, contour.gamma[0], direction, max_index)
-    locs = _candidate_locations_1d(stream, (max_index + 1) * len(f.numerator))
-    plan = _ResiduePlan(f, [_Poles(locs=locs)])
-    for n, loc in enumerate(locs):
-        order = plan.axes[0][n][0]
+    for n, loc in enumerate(poles.locs):
+        order = poles[n][0]
         if order > 1:
             raise PoleOrderError(f"coincident numerator poles at {loc} (net order {order})")
         out.append((loc, max(order, 0)))
@@ -480,21 +487,17 @@ def compatible_cone(f: GammaFraction, contour: Contour) -> Cone:
     """
     if contour.dim != f.dim:
         raise ValueError(f"a {f.dim}-variable fraction needs {f.dim} contour abscissae")
-    plan = _ResiduePlan(f)
-    for fac, axis in zip(f.numerator, plan.num_axes):
-        if axis is None:
-            raise NoCompatibleConeError(
-                "numerator divisor family is not axis-parallel; "
-                "no orthant cone is compatible - supply a custom cone")
-        if pole_index(fac.argument(contour.gamma)) is not None:
-            raise ContourOnDivisorError(
-                f"contour lies on a divisor of factor {fac} in variable {axis}")
+    if None in map(_axis_of, f.numerator):
+        raise NoCompatibleConeError("numerator divisor family is not axis-parallel; "
+                                    "no orthant cone is compatible - supply a custom cone")
+    _require_off_divisors(f, contour)
     faces = []
-    for ax, delta in zip(plan.axes, delta_vector(f)):
+    for j, delta in enumerate(delta_vector(f)):
         side = select_half_plane(delta)
         if side is Direction.BOTH:
             # free face: prefer the side where this variable's pole families live
-            sides = {Direction.LEFT if a > 0 else Direction.RIGHT for a, _ in ax.num}
+            sides = {Direction.LEFT if fac.coeffs[j] > 0 else Direction.RIGHT
+                     for fac in f.numerator if fac.coeffs[j]}
             side = sides.pop() if len(sides) == 1 else Direction.LEFT
         faces.append(side)
     return Cone(faces=tuple(faces))
@@ -514,15 +517,15 @@ def sum_residues(f: GammaFraction, contour: Contour, cone: Cone, tol: float = 1e
     cone with vertex at the contour, in any number d of variables.
 
     Axis j numbers the poles of face j 0, 1, ... by distance from the contour,
-    all its families merged.  Shell s holds the index tuples with
-    k1 + ... + kd = s, lexicographically.  The value carries the product of
-    the face orientations (+ LEFT, - RIGHT), so it estimates the integral
-    itself.  In 1-D a shell is one pole, labelled and keyed by its location,
-    and `budget` counts non-zero terms: cancelled and underflowed poles are
-    free, but at most (budget + 9) * len(f.numerator) poles are read.  For
-    d >= 2 a shell is labelled s and keyed by index tuples, and `budget`
-    counts shells.  The early divergence exit may be disabled to sum through
-    transient growth.
+    all its families merged.  Shell s, the index tuples with k1 + ... + kd = s
+    in lexicographic order, is summed once every axis is read exactly through
+    pole s.  The value carries the product of the face orientations (+ LEFT,
+    - RIGHT), so it estimates the integral itself.  In 1-D a shell is one
+    pole, labelled and keyed by its location, and `budget` counts non-zero
+    terms: cancelled and underflowed poles are free, but at most
+    (budget + 9) * len(f.numerator) poles are evaluated.  For d >= 2 a shell is
+    labelled s and keyed by index tuples, and `budget` counts shells.  The
+    early divergence exit may be disabled to sum through transient growth.
 
     The series is complete at the first shell with no lattice point left: a
     face holds no pole (the value is exactly 0), or every face is finite and
@@ -534,35 +537,32 @@ def sum_residues(f: GammaFraction, contour: Contour, cone: Cone, tol: float = 1e
         raise ValueError(f"a {d}-variable fraction needs {d} contour abscissae and cone faces")
     require_integer("budget", budget)
     require_positive("tol and budget", tol, budget)
-    axes = [_Poles(_pole_stream(f, j, contour.gamma[j], cone.faces[j])) for j in range(d)]
-    plan = _ResiduePlan(f, axes)
+    _require_off_divisors(f, contour)
+    plan = _ResiduePlan(f, map(_pole_stream, [f] * d, range(d), contour.gamma, cone.faces))
     orient = math.prod(1.0 if face is Direction.LEFT else -1.0 for face in cone.faces)
     # in 1-D, s counts the poles read; for d >= 2, s = used and the budget binds first
     reads = (budget + 9) * len(f.numerator)
 
     def shells():
-        used = s = ready = 0  # while s < ready, every axis holds pole s
-        while True:
-            if s >= ready:
-                # read through s, an axis shorter than s + 1 holds its whole pole set
-                n = [p.read(s) for p in axes]
-                ready = min(n)
-                if not ready or s > sum(n) - d:
-                    return True  # no lattice point at this shell or beyond
+        used = 0
+        for s in itertools.count():
+            # read through s, an axis shorter than s + 1 holds its whole pole set
+            n = [p.read(s) for p in plan.axes]
+            if not min(n) or s > sum(n) - d:
+                return True  # no lattice point at this shell or beyond
             if used >= budget or s >= reads:
                 return False
             if d > 1:
                 used += 1
                 yield s, [(k, orient * _residue_at_point(plan, k)) for k in _shell_points(s, n)]
             else:
-                loc = axes[0].locs[s]
+                loc = plan.axes[0].locs[s]
                 term = _residue_at_point(plan, (s,))
                 if term != 0.0:
                     used += 1
                 yield loc, [(loc, orient * term)]
-            s += 1
 
-    if all(map(_Poles.finite, axes, cone.faces)):
+    if all(map(_Poles.finite, plan.axes, cone.faces)):
         return sum_shells(shells(), 0.0, abort_on_divergence=False)
     return sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit)
 

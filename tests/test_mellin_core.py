@@ -323,7 +323,7 @@ def lattice_cases(draw):
 @given(lattice_cases())
 def test_residue_plan_matches_the_factor_by_factor_reference(case):
     f, locs = case
-    plan = mellin_core._ResiduePlan(f, [mellin_core._Poles(locs=axis) for axis in locs])
+    plan = mellin_core._ResiduePlan(f, locs)
     # records are shared between points and built in no particular order
     for point in itertools.product(*(range(len(axis)) for axis in locs)):
         z = tuple(axis[n] for axis, n in zip(locs, point))
@@ -552,14 +552,20 @@ def test_a_finite_side_longer_than_the_window_is_not_complete():
 def test_a_series_of_cancelled_poles_ends_at_the_read_cap(monkeypatch, denominator, budget):
     # every pole of Gamma(z) left of 1 is cancelled: each is free, and the
     # series ends unconverged after budget + 9 of them
-    reads = []
+    reads, pulled = [], []
     real = mellin_core._residue_at_point
     monkeypatch.setattr(mellin_core, "_residue_at_point",
                         lambda plan, point: reads.append(point) or real(plan, point))
+    read = mellin_core._candidate_locations_1d
+    monkeypatch.setattr(mellin_core, "_candidate_locations_1d",
+                        lambda stream, count: pulled.extend(got := read(stream, count)) or got)
     f = GammaFraction((GammaLinearFactor((1.0,), 0.0),), (denominator,))
     res = sum_residues_1d(f, Contour((1.0,)), Direction.LEFT, max_terms=budget)
     assert (res.value, res.terms_used, res.converged, res.exhausted) == (0.0, 0, False, True)
     assert len(reads) == budget + 9
+    # one candidate more than it evaluates: the series reads through a shell
+    # to learn whether the side holds it before the cap ends the series
+    assert len(pulled) == budget + 10
 
 
 def test_underflowed_poles_near_a_far_contour_are_not_a_converged_sum():
@@ -579,11 +585,11 @@ def test_converged_value_stable_under_doubling():
 
 
 def test_finite_side_sum_is_complete():
-    # Gamma(3-z): poles march right from z=3, so left of gamma=10 there are
+    # Gamma(3-z): poles march right from z=3, so left of gamma=9.5 there are
     # exactly 7; exhausting them is a complete (exactly converged) sum
     f = GammaFraction(numerator=(GammaLinearFactor((-1.0,), 3.0),),
                       powers=(PowerFactor(2.0, (-1.0,), 0.0),))
-    res = sum_residues_1d(f, Contour((10.0,)), Direction.LEFT, tol=1e-15, max_terms=50)
+    res = sum_residues_1d(f, Contour((9.5,)), Direction.LEFT, tol=1e-15, max_terms=50)
     assert res.converged and res.terms_used == 7 and res.last_shell_magnitude == 0.0
     manual = sum(_residue_at_point(f, (float(z),)) for z in range(3, 10))
     assert res.value == pytest.approx(manual, rel=1e-13)
@@ -662,6 +668,32 @@ def test_cone_diagonal_numerator_rejected():
 def test_cone_contour_on_divisor_rejected():
     with pytest.raises(ContourOnDivisorError):
         compatible_cone_2d(exp2d(1.0, 1.0), Contour((0.0, 1.0)))
+
+
+def test_a_contour_on_a_divisor_raises_in_every_series():
+    # Gamma(2z) 1.5^{-z}: its pole z = -0.5 lies 0.75e-9 left of the contour,
+    # within the 1e-9 pole tolerance of a location, though the argument 2z
+    # is 1.5e-9 from -1; a left sum that drops it reads 0.2593, converged
+    f = GammaFraction((GammaLinearFactor((2.0,), 0.0),), powers=(PowerFactor(1.5, (-1.0,)),))
+    on = Contour((-0.5 + 0.75e-9,))
+    calls = [lambda: compatible_cone(f, on),
+             lambda: enumerate_poles_1d(f, Direction.LEFT, 10, on),
+             lambda: sum_residues_1d(f, on, Direction.LEFT),
+             lambda: sum_residues_1d(f, on, Direction.RIGHT),
+             # exactly on a pole
+             lambda: sum_residues_1d(gamma_z(1.0), Contour((-2.0,)), Direction.LEFT),
+             lambda: sum_residues_2d(exp2d(1.0, 1.0), Contour((-1.0, 1.0)),
+                                     Cone((Direction.LEFT, Direction.LEFT))),
+             lambda: sum_residues(exp2d(1.0, 1.0), Contour((1.0, -1.0)),
+                                  Cone((Direction.LEFT, Direction.RIGHT)))]
+    for call in calls:
+        with pytest.raises(ContourOnDivisorError):
+            call()
+    # 3e-9 right of the pole the contour is off it, and the pole is summed:
+    # 0.5 exp(-sqrt(1.5)) less the residue 0.5 at z = 0, right of the contour
+    res = sum_residues_1d(f, Contour((-0.5 + 3e-9,)), Direction.LEFT)
+    assert res.converged
+    assert res.value == pytest.approx(0.5 * math.exp(-math.sqrt(1.5)) - 0.5, rel=1e-14)
 
 
 def test_grothendieck_scaled_gammas():
@@ -769,8 +801,9 @@ def reference_sum_1d(f, contour, direction, tol, max_terms, early_divergence_exi
     """The reference: the one-variable series loop as it was before the
     any-dimension driver, reading at most (max_terms + 9) * len(f.numerator)
     poles of the side's whole stream."""
-    poles = mellin_core._Poles(mellin_core._pole_stream(f, 0, contour.gamma[0], direction))
-    plan = mellin_core._ResiduePlan(f, [poles])
+    plan = mellin_core._ResiduePlan(
+        f, [mellin_core._pole_stream(f, 0, contour.gamma[0], direction)])
+    (poles,) = plan.axes
     orient = 1.0 if direction is Direction.LEFT else -1.0
     out_of_budget = False
 
@@ -799,9 +832,10 @@ def reference_sum_1d(f, contour, direction, tol, max_terms, early_divergence_exi
 def reference_sum_2d(f, contour, cone, tol, max_shells, early_divergence_exit=True):
     """The reference: the two-variable series loop as it was before the
     any-dimension driver, reading each face's whole stream."""
-    p1, p2 = (mellin_core._Poles(mellin_core._pole_stream(f, j, contour.gamma[j], cone.faces[j]))
-              for j in range(2))
-    plan = mellin_core._ResiduePlan(f, [p1, p2])
+    plan = mellin_core._ResiduePlan(f, [mellin_core._pole_stream(f, j, contour.gamma[j],
+                                                                 cone.faces[j])
+                                        for j in range(2)])
+    p1, p2 = plan.axes
     orient = 1.0
     for face in cone.faces:
         orient *= 1.0 if face is Direction.LEFT else -1.0
@@ -875,7 +909,8 @@ def series_cases(draw):
             draw(st.one_of(st.integers(1, 16), st.integers(1, 300))), draw(st.booleans()))
 
 
-@settings(max_examples=400, deadline=None)
+# about 26% of the drawn contours are on a divisor and out of domain
+@settings(max_examples=550, deadline=None)
 @given(series_cases())
 @example((found_finite_side_case(), Contour((1000.5,)), Cone((Direction.LEFT,)), 1e-12, 20, False))
 def test_sum_residues_matches_the_per_dimension_loops(case):
@@ -889,6 +924,8 @@ def test_sum_residues_matches_the_per_dimension_loops(case):
         got = _series_fields(sum_residues_2d, f, contour, cone, tol, budget)
         early = True
     assert _series_fields(sum_residues, f, contour, cone, tol, budget, early) == got
+    if got == "ContourOnDivisorError":
+        return  # out of domain, like a PoleOrderError; the reference loops do not check it
     want = _series_fields(reference, tol, budget, early)
     if got == want:
         return
@@ -897,7 +934,7 @@ def test_sum_residues_matches_the_per_dimension_loops(case):
     if _empty_lattice(f, contour, cone):
         assert got == want[:3] + (True,) + want[4:]
     else:
-        assert all(mellin_core._ResiduePlan(f).axes[j].finite(face)
+        assert all(mellin_core._ResiduePlan(f, [()] * f.dim).axes[j].finite(face)
                    for j, face in enumerate(cone.faces))
         assert got == _series_fields(reference, 0.0, budget, False)
 

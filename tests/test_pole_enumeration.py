@@ -14,6 +14,7 @@ from mellinbarnes.fractional_green import FractionalDiffusionParams, green_fract
 from mellinbarnes.mellin_core import (
     Cone,
     Contour,
+    ContourOnDivisorError,
     Direction,
     GammaFraction,
     GammaLinearFactor,
@@ -124,14 +125,15 @@ FOUND_FINITE_SIDE = GammaFraction((GammaLinearFactor((-1.0,), 0.0),),
                                   (GammaLinearFactor((-0.5,), 0.0),), (PowerFactor(3.0, (1.0,)),))
 
 
-@settings(max_examples=300, deadline=None)
+# about 58% of the drawn contours are on a divisor and out of domain
+@settings(max_examples=700, deadline=None)
 @given(series_1d())
 @example((FOUND_FINITE_SIDE, 1000.5, LEFT, 1e-12, 1000, False))
 def test_a_series_sums_the_nearest_poles_with_no_gap(case):
     f, gamma, direction, tol, budget, early = case
     try:
         res = sum_residues_1d(f, Contour((gamma,)), direction, tol, budget, early)
-    except PoleOrderError:
+    except (PoleOrderError, ContourOnDivisorError):
         return
     # a family's first pole on the side has index at most ceil(first) + 1 and
     # the series reads at most `reads` poles, so the eager candidates hold them
@@ -174,7 +176,8 @@ def test_1d_work_follows_the_terms_not_the_budget(monkeypatch):
     assert small.terms_used == 23 and small.converged
     assert (big.value.hex(), big.terms_used, big.converged) == (
         small.value.hex(), small.terms_used, small.converged)
-    assert 0 < sum(pulled) < 2 * big.terms_used + 16
+    # every pole is live: the series reads exactly the poles it sums
+    assert sum(pulled) == big.terms_used
 
 
 def test_2d_work_follows_the_shells_not_the_budget(monkeypatch):
@@ -189,11 +192,12 @@ def test_2d_work_follows_the_shells_not_the_budget(monkeypatch):
     assert small.converged
     assert (big.value.hex(), big.terms_used, big.converged) == (
         small.value.hex(), small.terms_used, small.converged)
-    assert 0 < sum(pulled) < 2 * big.terms_used + 16
+    # shell s reads pole s of each axis
+    assert sum(pulled) == 2 * len(big.record)
 
 
 def _lattice(second):
-    # Gamma(3 - z1): poles z1 = 3, 4, ... march right, so 7 lie left of z1 = 10
+    # Gamma(3 - z1): poles z1 = 3, 4, ... march right, so 7 lie left of z1 = 9.5
     return GammaFraction(numerator=(GammaLinearFactor((-1.0, 0.0), 3.0), second),
                          powers=(PowerFactor(1.5, (-1.0, 0.0), 0.0),
                                  PowerFactor(0.7, (0.0, -1.0), 0.0)))
@@ -206,12 +210,12 @@ def _lattice(second):
 FINITE = _lattice(GammaLinearFactor((0.0, -1.0), 2.0))
 HALF_INFINITE = _lattice(GammaLinearFactor((0.0, 1.0), 0.0))
 LATTICE_CASES = [
-    (FINITE, (10.0, 5.5), 9, False, True, 27, "-0x1.24c2ea7a2a08fp-1"),
-    (FINITE, (10.0, 5.5), 10, True, True, 28, "0x1.0d6877e7b99d0p-5"),
-    (FINITE, (10.0, 5.5), 11, True, True, 28, "0x1.0d6877e7b99d0p-5"),
-    (HALF_INFINITE, (10.0, 0.5), 10, False, True, 49, "-0x1.29c08d97e3dcep-4"),
-    (HALF_INFINITE, (10.0, 0.5), 12, False, True, 63, "-0x1.353c3b4f1a69ap-4"),
-    (HALF_INFINITE, (10.0, 0.5), 400, True, False, 1134, "-0x1.356d89759c78bp-4"),
+    (FINITE, (9.5, 5.5), 9, False, True, 27, "-0x1.24c2ea7a2a08fp-1"),
+    (FINITE, (9.5, 5.5), 10, True, True, 28, "0x1.0d6877e7b99d0p-5"),
+    (FINITE, (9.5, 5.5), 11, True, True, 28, "0x1.0d6877e7b99d0p-5"),
+    (HALF_INFINITE, (9.5, 0.5), 10, False, True, 49, "-0x1.29c08d97e3dcep-4"),
+    (HALF_INFINITE, (9.5, 0.5), 12, False, True, 63, "-0x1.353c3b4f1a69ap-4"),
+    (HALF_INFINITE, (9.5, 0.5), 400, True, False, 1134, "-0x1.356d89759c78bp-4"),
 ]
 
 

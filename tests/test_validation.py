@@ -1,13 +1,15 @@
-"""Non-finite input, a tolerance that is not positive and a term budget that
-is not an integer >= 1 are rejected with ValueError at every public entry
-point, and with exit code 2 by the CLI."""
+"""Non-finite input, a tolerance that is not positive, a term budget that is
+not an integer >= 1 and an order or term index that is not an integer are
+rejected with ValueError at every public entry point, and with exit code 2
+by the CLI."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mellinbarnes.bs_pricer import OptionContract, bs_series, heat_kernel, heat_kernel_mb
+from mellinbarnes.bs_pricer import (OptionContract, bs_series, bs_series_term, heat_kernel,
+                                    heat_kernel_mb)
 from mellinbarnes.cli import main
 from mellinbarnes.fractional_green import FractionalDiffusionParams, green_fractional_series
 from mellinbarnes.laplace_american import (
@@ -15,11 +17,13 @@ from mellinbarnes.laplace_american import (
     LaplaceSymbol,
     american_kernel_oracle,
     american_kernel_series,
+    american_kernel_symbol,
     boundary_symbol,
     exercise_boundary,
     f_power,
     f_shifted,
     inverse_laplace,
+    laguerre_coefficients,
     laguerre_gen,
     regularized_gamma_p,
     talbot_inverse,
@@ -124,6 +128,14 @@ ENTRY_POINTS = {
     "bs_series_max_shells_fractional": lambda: bs_series(CONTRACT, max_shells=2.5),
     "kernel_series_max_shells_float": lambda: american_kernel_series(2, 1, 0.5, CONSTS,
                                                                      max_shells=4.0),
+    # orders and term indices are integers
+    "kernel_series_order_fractional": lambda: american_kernel_series(1.5, 1, 1.0, CONSTS),
+    "kernel_symbol_order_fractional": lambda: american_kernel_symbol(1.5, 1, CONSTS),
+    "kernel_oracle_order_fractional": lambda: american_kernel_oracle(1.5, 1, 0.5, CONSTS),
+    "laguerre_coefficients_order_fractional": lambda: laguerre_coefficients(1.5, 0.5, 1.5),
+    "laguerre_order_fractional": lambda: laguerre_gen(1.5, 0.5, 1.0, 0.5),
+    "f_shifted_order_fractional": lambda: f_shifted(1.5, 0.5, 1.5, 1.0),
+    "bs_series_term_index_fractional": lambda: bs_series_term(1.5, 0, CONTRACT),
     "enumerate_max_index_negative": lambda: enumerate_poles_1d(EXP, Direction.LEFT, -3, C1),
     "enumerate_max_index_fractional": lambda: enumerate_poles_1d(EXP, Direction.LEFT, 2.5, C1),
     "sum_residues_tol_nan": lambda: sum_residues(EXP2D, C2, compatible_cone(EXP2D, C2), tol=NAN),
