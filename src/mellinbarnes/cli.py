@@ -403,9 +403,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # invalid input, or a config/out file it cannot open
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnreliableInversionError, fractional_green.ConvergenceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

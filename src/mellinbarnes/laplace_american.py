@@ -111,6 +111,7 @@ class LaplaceSymbol:
     mu_min: float = 0.0
 
     def __post_init__(self):
+        require_finite("LaplaceSymbol mu and mu_min", self.mu, self.mu_min)
         if not self.mu > self.mu_min:
             raise ValueError("contour abscissa mu must exceed mu_min")
 
@@ -267,8 +268,8 @@ def vertical_inverse(func: Callable, x: float, mu: float, panels: int = _PANELS,
     that the result is finite.
     """
     require_finite("vertical_inverse", x, mu)
-    require_integer("panels", panels)
-    require_positive("panels", panels)
+    require_integer("panels and nodes", panels, nodes)
+    require_positive("panels, nodes and symbol_scale", panels, nodes, symbol_scale)
     if x <= 0.0:
         raise ValueError("vertical_inverse requires x > 0")
     xs, ws = _gauss_legendre(nodes)
@@ -418,7 +419,7 @@ def _exp_powers_derivatives(qmax: int, tau: float, a: float) -> list:
             nxt[s] = nxt.get(s, 0.0) - a2 * cs
             nxt[s + 1.0] = nxt.get(s + 1.0, 0.0) - s * cs
         coeffs = nxt
-    return vals[: qmax + 1]
+    return vals
 
 
 def _invl_w_pow_over_p(k: int, tau: float, a: float) -> float:
@@ -427,8 +428,6 @@ def _invl_w_pow_over_p(k: int, tau: float, a: float) -> float:
     Distributional delta-derivative parts integrate to zero for tau > 0; the
     surviving pieces are a^k (even k) plus erfc/power closed forms (odd k).
     """
-    if k == 0:
-        return 1.0
     if k % 2 == 0:
         return a ** k
     i = (k - 1) // 2

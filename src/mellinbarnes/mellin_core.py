@@ -263,33 +263,25 @@ def _pole_family(i: int, a: float, b: float, gamma: float, direction: Direction,
 def _pole_stream(f: GammaFraction, axis: int, gamma: float, direction: Direction,
                  max_index: int = 2**53):
     """Candidate pole locations of the numerator factors that are axis-parallel in
-    `axis`, on one side of gamma, indices 0..max_index per factor: a lazy heap
-    merge of the factors' _pole_family runs ordered by (|loc - gamma|, loc), so
-    the side's poles come as one nearest-first stream whatever their family.
+    `axis`, on one side of gamma, indices 0..max_index per factor: the factors'
+    _pole_family runs heapq.merge'd by (|loc - gamma|, loc, i, k), which no two
+    entries share, into one nearest-first stream of the side's poles.
 
     Locations equal under round(loc, 9) are one pole; its float is the earliest
     factor's, then the smallest k's.  Such floats lie within 1e-9 of each other,
-    so their distances d differ by less than _KEY_GAP * (1 + d): the merge pops
+    so their distances d differ by less than _KEY_GAP * (1 + d): the merge gives
     a cluster of entries chained by smaller gaps, which holds every float of its
     keys, and yields the cluster's winners in order."""
-    families = {i: _pole_family(i, fac.coeffs[axis], fac.offset, gamma, direction, max_index)
-                for i, fac in enumerate(f.numerator) if _axis_of(fac) == axis}
-    heap = [e for e in (next(fam, None) for fam in families.values()) if e is not None]
-    heapq.heapify(heap)
-
-    def pop():
-        e = heap[0]
-        nxt = next(families[e[2]], None)
-        if nxt is None:
-            heapq.heappop(heap)
-        else:
-            heapq.heapreplace(heap, nxt)
-        return e
-
-    while heap:
-        cluster = [pop()]
-        while heap and heap[0][0] <= cluster[-1][0] * (1.0 + _KEY_GAP) + _KEY_GAP:
-            cluster.append(pop())
+    merged = heapq.merge(*(_pole_family(i, fac.coeffs[axis], fac.offset, gamma, direction,
+                                        max_index)
+                           for i, fac in enumerate(f.numerator) if _axis_of(fac) == axis))
+    nxt = next(merged, None)
+    while nxt is not None:
+        cluster = [nxt]
+        nxt = next(merged, None)
+        while nxt is not None and nxt[0] <= cluster[-1][0] * (1.0 + _KEY_GAP) + _KEY_GAP:
+            cluster.append(nxt)
+            nxt = next(merged, None)
         if len(cluster) == 1:
             yield cluster[0][1]
             continue
@@ -310,9 +302,9 @@ class _Poles(dict):
     far from an iterable (a _pole_stream, or a finite sequence), and their
     records by position, each built when first read.  `read(n)` and record n
     read exactly through location n.  A _pole_stream runs dry only on a face
-    holding finitely many poles.  `num` and `den` hold (coefficient, offset)
-    of the axis's numerator and denominator factors, `pw` (coefficient,
-    offset, log base) of its powers."""
+    holding finitely many poles, and is dropped at the first short read.
+    `num` and `den` hold (coefficient, offset) of the axis's numerator and
+    denominator factors, `pw` (coefficient, offset, log base) of its powers."""
 
     __slots__ = ("locs", "num", "den", "pw", "_stream")
 
@@ -321,8 +313,10 @@ class _Poles(dict):
 
     def read(self, n: int) -> int:
         """The number of locations held once read through location n or to the end."""
-        if n >= len(self.locs):
+        if n >= len(self.locs) and self._stream is not None:
             self.locs += _candidate_locations_1d(self._stream, n + 1 - len(self.locs))
+            if n >= len(self.locs):  # a short read: the stream has ended
+                self._stream = None
         return len(self.locs)
 
     def finite(self, direction: Direction) -> bool:

@@ -337,3 +337,35 @@ def test_entry_point_exit_status(argv, code):
     proc = subprocess.run([sys.executable, "-m", "mellinbarnes.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["green", "--alpha", "2", "--gamma-t", "1", "--mu", "0.5", "--tau", "1", "--x-grid=abc"],
+     "grid must be lo:hi:step"),
+    (["demo", "exp", "--x", "1", "2"], "needs 1 positive, finite --x value"),
+    (["green", "--alpha", "2", "--gamma-t", "1", "--mu", "0.5", "--tau", "0",
+      "--x-grid=0.5:1:0.5"], "tau must be positive"),
+])
+def test_malformed_input_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("spot = 3700\nstrike\n")
+    code, out, err = run_cli(capsys, *PRICE_ARGS, "--config", str(cfg))
+    assert code == 2 and out == "" and "config line without '='" in err
+
+
+def test_unreliable_inversions_are_reported_in_the_output_and_exit_3(capsys):
+    # the two contour methods disagree: each command reports it on stdout
+    code, out, err = run_cli(capsys, "american", "boundary", "--rate", "0.1", "--sigma", "0.3",
+                             "--tau-grid", "40:40:1", "--format", "json")
+    rows = json.loads(out)["results"]["rows"]
+    assert (code, err, len(rows), rows[0][-1][:12]) == (3, "", 1, "unreliable: ")
+    code, out, err = run_cli(capsys, "american", "kernel", "--rate", "0.1", "--sigma", "0.3",
+                             "--n", "2", "--m", "1", "--tau", "100", "--format", "json")
+    payload = json.loads(out)
+    assert (code, err, payload["results"]["rows"]) == (3, "", [])
+    assert "contour methods disagree" in payload["diagnostics"]["error"]

@@ -1,7 +1,7 @@
-"""Non-finite input, a tolerance that is not positive, a term budget that is
-not an integer >= 1 and an order or term index that is not an integer are
-rejected with ValueError at every public entry point, and with exit code 2
-by the CLI."""
+"""Non-finite input, a tolerance that is not positive, a term budget or
+quadrature size that is not an integer >= 1, an order or term index that is
+not an integer, and input outside a function's domain are rejected with
+ValueError at every public entry point, and with exit code 2 by the CLI."""
 
 import math
 
@@ -11,7 +11,8 @@ import pytest
 from mellinbarnes.bs_pricer import (OptionContract, bs_series, bs_series_term, heat_kernel,
                                     heat_kernel_mb)
 from mellinbarnes.cli import main
-from mellinbarnes.fractional_green import FractionalDiffusionParams, green_fractional_series
+from mellinbarnes.fractional_green import (FractionalDiffusionParams, green_fractional_series,
+                                           green_normalization_check)
 from mellinbarnes.laplace_american import (
     AmericanConstants,
     LaplaceSymbol,
@@ -25,6 +26,7 @@ from mellinbarnes.laplace_american import (
     inverse_laplace,
     laguerre_coefficients,
     laguerre_gen,
+    parse_golden_line,
     regularized_gamma_p,
     talbot_inverse,
     vertical_inverse,
@@ -65,6 +67,10 @@ def _sum_1d(**kw):
 
 def _sum_2d(**kw):
     return sum_residues_2d(EXP2D, C2, compatible_cone_2d(EXP2D, C2), **kw)
+
+
+def _invert_1_over_p(x=1.0, **kw):
+    return vertical_inverse(lambda p: 1 / p, x, mu=1.0, **kw)
 
 
 ENTRY_POINTS = {
@@ -148,6 +154,42 @@ ENTRY_POINTS = {
                                                                     5, C1),
     "sum_2d_pole_beyond_float_range": lambda: sum_residues_2d(
         TINY_SLOPE_2D, C2, Cone((Direction.LEFT, Direction.LEFT))),
+    # quadrature sizes are integers >= 1, the cell width finite and positive,
+    # and a contour abscissa finite
+    "vertical_nodes_bool": lambda: _invert_1_over_p(nodes=True),
+    "vertical_nodes_fractional": lambda: _invert_1_over_p(nodes=2.5),
+    "vertical_symbol_scale_zero": lambda: _invert_1_over_p(symbol_scale=0.0),
+    "vertical_symbol_scale_nan": lambda: _invert_1_over_p(symbol_scale=NAN),
+    "vertical_symbol_scale_negative": lambda: _invert_1_over_p(symbol_scale=-1.0),
+    "vertical_symbol_scale_inf": lambda: _invert_1_over_p(symbol_scale=INF),
+    "laplace_symbol_mu_inf": lambda: LaplaceSymbol(lambda p: 1 / p, INF),
+    "laplace_symbol_mu_min_inf": lambda: LaplaceSymbol(lambda p: 1 / p, 1.0, -INF),
+    # inputs outside each function's domain
+    "bs_series_term_index_negative": lambda: bs_series_term(-1, 0, CONTRACT),
+    "heat_kernel_tau_zero": lambda: heat_kernel(1.0, 0.0, 0.3),
+    "heat_kernel_mb_y_negative": lambda: heat_kernel_mb(-1.0, 1.0, 0.3),
+    "green_t_zero": lambda: green_fractional_series(0.5, 0.0, GAUSS),
+    "green_extremal_skew": lambda: green_fractional_series(
+        0.5, 1.0, FractionalDiffusionParams(alpha=0.8, gamma_t=1.0, theta=0.8)),
+    "green_normalization_grid_holds_zero": lambda: green_normalization_check(
+        GAUSS, 1.0, [-1.0, 0.0, 1.0]),
+    "laplace_symbol_mu_at_mu_min": lambda: LaplaceSymbol(lambda p: 1 / p, 1.0, 1.0),
+    "f_power_x_zero": lambda: f_power(0.0, 0.5),
+    "laguerre_coefficients_order_negative": lambda: laguerre_coefficients(-1, 0.5, 1.5),
+    "laguerre_x_zero": lambda: laguerre_gen(2, 0.5, 0.0, 0.5),
+    "f_shifted_x_zero": lambda: f_shifted(1, 0.5, 1.5, 0.0),
+    "f_shifted_nu_zero": lambda: f_shifted(1, 0.5, 0.0, 1.0),
+    "vertical_x_zero": lambda: _invert_1_over_p(x=0.0),
+    "gamma_p_s_zero": lambda: regularized_gamma_p(0.0, 1.0),
+    "gamma_p_x_negative": lambda: regularized_gamma_p(1.0, -1.0),
+    "kernel_series_tau_zero": lambda: american_kernel_series(2, 1, 0.0, CONSTS),
+    "boundary_tau_zero": lambda: exercise_boundary(0.0, 0.1, 0.3),
+    "golden_line_token_without_equals": lambda: parse_golden_line("x"),
+    "golden_line_incomplete": lambda: parse_golden_line("a=1"),
+    "gamma_fraction_power_without_numerator": lambda: GammaFraction(
+        numerator=(), powers=(PowerFactor(2.0, (1.0,)),)),
+    "enumerate_2d_fraction": lambda: enumerate_poles_1d(EXP2D, Direction.LEFT, 5, C2),
+    "enumerate_both_sides": lambda: enumerate_poles_1d(EXP, Direction.BOTH, 5, C1),
 }
 
 
@@ -173,6 +215,12 @@ def test_budgets_too_large_for_a_float_are_accepted():
         small.value.hex(), small.terms_used, small.converged)
     assert bs_series(CONTRACT, max_shells=10**400).value == bs_series(CONTRACT).value
     assert _sum_2d(max_shells=10**400).value == _sum_2d().value
+
+
+def test_a_nan_cell_width_is_named():
+    # math.ceil(nan) raised a ValueError that named no input
+    with pytest.raises(ValueError, match="symbol_scale"):
+        _invert_1_over_p(symbol_scale=NAN)
 
 
 @pytest.mark.parametrize("argv", [
