@@ -64,10 +64,8 @@ class OptionContract:
 
     def __post_init__(self):
         for name in ("spot", "strike", "tau", "sigma"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValueError(f"OptionContract.{name} must be positive, got {v}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+            require_positive(f"OptionContract.{name}", getattr(self, name))
         object.__setattr__(self, "rate", float(self.rate))
         require_finite("OptionContract.rate", self.rate)
 
@@ -240,9 +238,8 @@ def bs_series(c: OptionContract, tol: float = 1e-10, max_shells: int = 200) -> R
 
 def heat_kernel(y: float, tau: float, sigma: float) -> float:
     """Gaussian density (1/(sigma sqrt(2 pi tau))) exp(-y^2/(2 sigma^2 tau))."""
-    require_finite("heat_kernel", y, tau, sigma)
-    if tau <= 0.0 or sigma <= 0.0:
-        raise ValueError("heat_kernel requires tau > 0 and sigma > 0")
+    require_finite("heat_kernel y", y)
+    require_positive("heat_kernel tau and sigma", tau, sigma)
     v = sigma * sigma * tau
     return math.exp(-y * y / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
 
@@ -264,10 +261,7 @@ def heat_kernel_mb(y: float, tau: float, sigma: float, tol: float = 1e-12,
     representation; only the odd poles of Gamma(1-t) survive the Gamma(1-t/2)
     cancellation.  Raises ConvergenceError when the series does not converge
     within max_terms."""
-    if y == 0.0:
-        raise ValueError("heat_kernel_mb: y = 0 is outside the domain (1/y prefactor)")
-    if y < 0.0 or tau <= 0.0 or sigma <= 0.0:
-        raise ValueError("heat_kernel_mb requires y > 0, tau > 0, sigma > 0")
+    require_positive("heat_kernel_mb y, tau and sigma", y, tau, sigma)
     f = heat_kernel_fraction(y, tau, sigma)
     contour = Contour((0.5,))
     direction = select_half_plane(delta_vector(f)[0])

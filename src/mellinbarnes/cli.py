@@ -52,6 +52,9 @@ _OPTIONS = {
 }
 _COMMON = ("tol", "format", "out")
 
+# the most points a lo:hi:step grid may have
+_MAX_GRID_POINTS = 100_000
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -79,7 +82,8 @@ def _json_render(obj, indent=0) -> str:
 
 
 class _Report:
-    """Collects a command's params, result rows and diagnostics; renders
+    """Collects a command's params, result rows and diagnostics, and the count
+    of results that failed numerically (exit 3 when not 0); renders
     human/json/csv."""
 
     def __init__(self, command: str, params: dict):
@@ -89,6 +93,7 @@ class _Report:
         self.columns: list = []
         self.rows: list = []
         self.diagnostics: dict = {}
+        self.failed = 0
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -140,15 +145,15 @@ def _parse_grid(text: str) -> list:
         raise ValueError(f"grid must be lo:hi:step, got {text!r}")
     if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo:
         raise ValueError(f"bad grid bounds {text!r}")
+    if lo + step == lo or hi + step == hi:
+        raise ValueError(f"grid step of {text!r} is below the spacing of doubles at its bounds")
     out = []
-    k = 0
-    while True:
+    for k in range(_MAX_GRID_POINTS + 1):
         x = lo + k * step
         if x > hi + 0.5 * step:
-            break
+            return out
         out.append(x)
-        k += 1
-    return out
+    raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
 
 
 def _read_config(path: Optional[str]) -> dict:
@@ -203,11 +208,11 @@ def _params(opts: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the merged options and the parsed flags (for the
+# demos' --x, which is not in the option table) and returns its report
 # ---------------------------------------------------------------------------
 
-def cmd_price(args) -> int:
-    opts = _options(args)
+def cmd_price(opts: dict, args) -> _Report:
     contract = OptionContract(spot=opts["spot"], strike=opts["strike"],
                               tau=opts["tau"], rate=opts["rate"], sigma=opts["sigma"])
     closed = bs_pricer.bs_closed_form(contract)
@@ -229,12 +234,11 @@ def cmd_price(args) -> int:
     if not series.converged:
         report.diagnostics["warning"] = ("series not converged; closed form is authoritative "
                                          f"(reported price {series_price})")
-    _emit(report, opts)
-    return EXIT_OK if series.converged else EXIT_NUMERICAL
+        report.failed = 1
+    return report
 
 
-def cmd_green(args) -> int:
-    opts = _options(args)
+def cmd_green(opts: dict, args) -> _Report:
     params = FractionalDiffusionParams(alpha=opts["alpha"], gamma_t=opts["gamma_t"],
                                        theta=opts["theta"], mu=opts["mu"])
     grid = _parse_grid(opts["x_grid"])
@@ -242,7 +246,6 @@ def cmd_green(args) -> int:
         raise ValueError("tau must be positive")
     report = _Report("green", _params(opts))
     report.columns = ["x", "density", "flag"]
-    failed = 0
     kept = []
     for x in grid:
         if x == 0.0:
@@ -255,21 +258,18 @@ def cmd_green(args) -> int:
             kept.append((x, res.value))
         else:
             report.rows.append([x, res.value, "not-converged"])
-            failed += 1
+            report.failed += 1
     if len(kept) >= 2:
         xs, ys = zip(*kept)
         report.summary["normalization_estimate"] = float(np.trapezoid(ys, xs))
-    report.summary["points_failed"] = failed
-    _emit(report, opts)
-    return EXIT_NUMERICAL if failed else EXIT_OK
+    report.summary["points_failed"] = report.failed
+    return report
 
 
-def cmd_boundary(args) -> int:
-    opts = _options(args)
+def cmd_boundary(opts: dict, args) -> _Report:
     grid = _parse_grid(opts["tau_grid"])
     report = _Report("american-boundary", _params(opts))
     report.columns = ["tau", "boundary_over_strike", "talbot", "vertical", "agreement", "flag"]
-    failures = 0
     for tau in grid:
         try:
             inv = laplace_american.exercise_boundary(tau, opts["rate"], opts["sigma"],
@@ -279,13 +279,11 @@ def cmd_boundary(args) -> int:
         except (UnreliableInversionError, laplace_american.BranchCrossingError) as exc:
             report.rows.append([tau, float("nan"), float("nan"), float("nan"),
                                 float("nan"), f"unreliable: {exc}"])
-            failures += 1
-    _emit(report, opts)
-    return EXIT_NUMERICAL if failures else EXIT_OK
+            report.failed += 1
+    return report
 
 
-def cmd_kernel(args) -> int:
-    opts = _options(args)
+def cmd_kernel(opts: dict, args) -> _Report:
     consts = AmericanConstants.from_rates(opts["rate"], opts["sigma"])
     report = _Report("american-kernel", _params(opts))
     report.columns = ["n", "m", "series", "oracle", "gap"]
@@ -296,13 +294,13 @@ def cmd_kernel(args) -> int:
         oracle = laplace_american.american_kernel_oracle(opts["n"], opts["m"], opts["tau"], consts)
     except UnreliableInversionError as exc:
         report.diagnostics["error"] = str(exc)
-        _emit(report, opts)
-        return EXIT_NUMERICAL
+        report.failed = 1
+        return report
     gap = abs(series.value - oracle)
     report.rows.append([opts["n"], opts["m"], series.value, oracle, gap])
     report.summary = {"converged": series.converged, "terms_used": series.terms_used}
-    _emit(report, opts)
-    return EXIT_OK if series.converged else EXIT_NUMERICAL
+    report.failed = int(not series.converged)
+    return report
 
 
 def _demo_fraction(kind: str, xs: list) -> tuple:
@@ -322,9 +320,8 @@ def _demo_fraction(kind: str, xs: list) -> tuple:
     return frac, Contour((1.0, 1.0)), math.exp(-(xs[0] + xs[1]))
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(opts: dict, args) -> _Report:
     kind = args.demo_command
-    opts = _options(args)
     xvals = args.x
     count = 2 if kind == "exp2d" else 1
     if len(xvals) != count:
@@ -345,8 +342,7 @@ def cmd_demo(args) -> int:
     report.rows = [[sh.label, sh.shell_sum, sh.partial] for sh in res.record]
     report.summary.update(reference=reference, partial_sum=res.value,
                           abs_error=abs(res.value - reference))
-    _emit(report, opts)
-    return EXIT_OK
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +395,13 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        opts = _options(args)
+        report = args.func(opts, args)
+        _emit(report, opts)
     except (ValueError, OSError) as exc:  # invalid input, or a config/out file it cannot open
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_NUMERICAL if report.failed else EXIT_OK
 
 
 if __name__ == "__main__":

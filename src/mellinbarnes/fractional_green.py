@@ -36,7 +36,7 @@ from .mellin_core import (
     select_half_plane,
     sum_residues_1d,
 )
-from .special_functions import require_finite
+from .special_functions import require_finite, require_positive
 
 __all__ = [
     "FractionalDiffusionParams",
@@ -78,8 +78,7 @@ class FractionalDiffusionParams:
             raise ValueError("gamma_t must lie in (0, 1]")
         if abs(th) > min(a, 2.0 - a) + 1e-12:
             raise ValueError("skew must satisfy |theta| <= min(alpha, 2-alpha)")
-        if not mu > 0.0:
-            raise ValueError("mu must be positive")
+        require_positive("FractionalDiffusionParams.mu", mu)
 
     def reflected(self) -> "FractionalDiffusionParams":
         return FractionalDiffusionParams(self.alpha, self.gamma_t, -self.theta, self.mu)
@@ -121,11 +120,10 @@ def _pick_direction(delta: float, u: float) -> Direction:
 def green_fractional_series(x: float, t: float, p: FractionalDiffusionParams,
                             tol: float = 1e-12, max_terms: int = 400) -> ResidueSeriesResult:
     """Density with full summation diagnostics; see green_fractional."""
-    require_finite("x and t", x, t)
+    require_finite("x", x)
+    require_positive("t", t)
     if x == 0.0:
         raise ValueError("green function domain error at x = 0 (1/(alpha x) prefactor)")
-    if t <= 0.0:
-        raise ValueError("green_fractional requires t > 0")
     if x < 0.0:
         # symmetric for theta = 0; otherwise the Riesz-Feller skew reflection
         return green_fractional_series(-x, t, p.reflected(), tol=tol, max_terms=max_terms)
@@ -177,6 +175,7 @@ def default_esscher_grid(p: FractionalDiffusionParams, t: float = 1.0) -> np.nda
     keeping the argument ratio small enough for full double accuracy of the
     residue series.  Other (extremal-skew) cases get a scale-based window.
     """
+    require_positive("t", t)
     if p.alpha == 2.0:
         v = 2.0 * p.mu * t ** p.gamma_t
         lo, hi = v - 5.5 * math.sqrt(v), v + 5.5 * math.sqrt(v)

@@ -83,16 +83,14 @@ class AmericanConstants:
     b: float
 
     def __post_init__(self):
-        require_finite("AmericanConstants", self.gamma_c, self.a, self.b)
-        if self.gamma_c <= 0.0:
-            raise ValueError("gamma_c = 2r/sigma^2 must be positive")
+        require_positive("AmericanConstants gamma_c = 2r/sigma^2", self.gamma_c)
+        require_finite("AmericanConstants a and b", self.a, self.b)
         if abs(self.a * self.a - self.b * self.b - self.gamma_c) > 1e-14 * max(1.0, self.a * self.a):
             raise ValueError("AmericanConstants violate a^2 = b^2 + gamma")
 
     @classmethod
     def from_rates(cls, r: float, sigma: float) -> "AmericanConstants":
-        if r <= 0.0 or sigma <= 0.0:
-            raise ValueError("from_rates requires r > 0 and sigma > 0")
+        require_positive("from_rates r and sigma", r, sigma)
         g = 2.0 * r / (sigma * sigma)
         return cls(gamma_c=g, a=(1.0 + g) / 2.0, b=(1.0 - g) / 2.0)
 
@@ -148,9 +146,8 @@ def _log(p):
 
 def f_power(x: float, nu: float) -> float:
     """Inverse Laplace transform of p^{-nu}: x^{nu-1}/Gamma(nu), x > 0."""
-    require_finite("f_power", x, nu)
-    if x <= 0.0:
-        raise ValueError("f_power requires x > 0")
+    require_positive("f_power x", x)
+    require_finite("f_power nu", nu)
     if pole_index(nu) is not None:
         raise PoleError(f"Gamma pole at nu = {nu}")
     return real_gamma_sign(nu) * math.exp((nu - 1.0) * math.log(x) - math.lgamma(nu))
@@ -166,6 +163,7 @@ def laguerre_coefficients(n: int, alpha: float, nu: float) -> list:
     the Bromwich oracle in the test suite).
     """
     require_integer("polynomial order", n)
+    require_finite("Laguerre alpha and nu", alpha, nu)
     if n < 0:
         raise ValueError("polynomial order must be nonnegative")
     coeffs = {0: 1.0}
@@ -181,20 +179,15 @@ def laguerre_coefficients(n: int, alpha: float, nu: float) -> list:
 def laguerre_gen(n: int, alpha: float, x: float, nu: float) -> float:
     """l_n^{(alpha)}(x, nu) under the derivative convention (see
     laguerre_coefficients); the weighted polynomial is e^{-alpha x} * this."""
-    require_finite("laguerre_gen", alpha, x, nu)
-    if x <= 0.0:
-        raise ValueError("laguerre_gen requires x > 0 (fractional powers of x)")
+    require_positive("laguerre_gen x (fractional powers of x)", x)
     return sum(c * x ** (nu - k) for k, c in laguerre_coefficients(n, alpha, nu))
 
 
 def f_shifted(n: int, alpha: float, nu: float, x: float) -> float:
     """Inverse Laplace transform of p^n/(p+alpha)^nu at x > 0, nu > 0:
     the n-th derivative of e^{-alpha x} x^{nu-1}/Gamma(nu)."""
-    require_finite("f_shifted", alpha, nu, x)
-    if x <= 0.0:
-        raise ValueError("f_shifted requires x > 0")
-    if nu <= 0.0:
-        raise ValueError("f_shifted requires nu > 0")
+    require_finite("f_shifted alpha", alpha)
+    require_positive("f_shifted nu and x", nu, x)
     return math.exp(-alpha * x) * laguerre_gen(n, alpha, x, nu - 1.0) / math.gamma(nu)
 
 
@@ -206,9 +199,11 @@ def talbot_inverse(func: Callable, x: float, m: int = 48) -> float:
     """Fixed-Talbot inversion with m nodes in a private mpmath context.  Its
     precision is scaled to m, since the contour spans a dynamic range ~e^{2m/5};
     it is built once per m with the nodes z_k = p_k x and their weights."""
-    require_finite("x", x)
-    if x <= 0.0 or not isinstance(m, int) or m < 2:
-        raise ValueError(f"talbot_inverse requires x > 0 and an integer m >= 2, got {x!r}, {m!r}")
+    require_positive("x", x)
+    require_integer("m", m)
+    m = int(m)  # mpmath takes no numpy integer
+    if m < 2:
+        raise ValueError(f"talbot_inverse requires m >= 2, got {m}")
     if m not in _TALBOT_CACHE:
         ctx = mpmath.MPContext()
         ctx.dps = int(0.19 * m) + 20
@@ -264,14 +259,12 @@ def vertical_inverse(func: Callable, x: float, mu: float, panels: int = _PANELS,
 
     The symbol is called on numpy arrays holding whole panels, at most
     _BLOCK_NODES nodes per call (one panel per call if a panel is larger).
-    Overflow inside the symbol gives inf/nan, not a warning; callers check
-    that the result is finite.
+    Overflow inside the symbol or of e^{mu x} gives inf/nan, not a warning
+    or an exception; callers check that the result is finite.
     """
-    require_finite("vertical_inverse", x, mu)
+    require_finite("mu", mu)
     require_integer("panels and nodes", panels, nodes)
-    require_positive("panels, nodes and symbol_scale", panels, nodes, symbol_scale)
-    if x <= 0.0:
-        raise ValueError("vertical_inverse requires x > 0")
+    require_positive("x, panels, nodes and symbol_scale", x, panels, nodes, symbol_scale)
     xs, ws = _gauss_legendre(nodes)
     h = math.pi / x
     nsub = min(128, max(1, math.ceil(h / symbol_scale)))
@@ -296,7 +289,10 @@ def vertical_inverse(func: Callable, x: float, mu: float, panels: int = _PANELS,
     tail = partials[-_AVERAGED:]
     while len(tail) > 1:
         tail = [0.5 * (tail[i] + tail[i + 1]) for i in range(len(tail) - 1)]
-    return math.exp(mu * x) / math.pi * tail[0]
+    try:
+        return math.exp(mu * x) / math.pi * tail[0]
+    except OverflowError:  # e^{mu x} beyond the double range: not finite, not an exception
+        return math.inf * tail[0]
 
 
 def effective_abscissa(sym: LaplaceSymbol, x: float) -> float:
@@ -349,17 +345,15 @@ def american_kernel_symbol(n: int, m: int, c: AmericanConstants) -> LaplaceSymbo
 def american_kernel_oracle(n: int, m: int, tau: float, c: AmericanConstants) -> float:
     """Dual-contour Bromwich inversion of the raw kernel (1/p factor included,
     so this is the running integral of the unsmoothed transform)."""
-    if tau <= 0.0:
-        raise ValueError("american_kernel_oracle requires tau > 0")
+    require_positive("tau", tau)
     return inverse_laplace(american_kernel_symbol(n, m, c), tau, tol=1e-7).value
 
 
 def regularized_gamma_p(s: float, x: float) -> float:
     """Regularized lower incomplete gamma P(s, x) = gamma(s, x)/Gamma(s),
     for s > 0, x >= 0.  Series for x < s+1, continued fraction otherwise."""
-    require_finite("regularized_gamma_p", s, x)
-    if s <= 0.0:
-        raise ValueError("regularized_gamma_p requires s > 0")
+    require_positive("regularized_gamma_p s", s)
+    require_finite("regularized_gamma_p x", x)
     if x < 0.0:
         raise ValueError("regularized_gamma_p requires x >= 0")
     if x == 0.0:
@@ -454,10 +448,7 @@ def american_kernel_series(n: int, m: int, tau: float, c: AmericanConstants,
     single j = 0 term.  The sign (-1)^m is exact, so it goes into every term.
     """
     require_integer("kernel orders n, m and max_shells", n, m, max_shells)
-    require_positive("kernel orders n, m, tol and max_shells", n, m, tol, max_shells)
-    require_finite("tau", tau)
-    if tau <= 0.0:
-        raise ValueError("american_kernel_series requires tau > 0")
+    require_positive("kernel orders n, m, tau, tol and max_shells", n, m, tau, tol, max_shells)
     a, b = c.a, c.b
     a2 = a * a
     sign = -1.0 if m % 2 else 1.0
@@ -527,9 +518,7 @@ def _check_branch_path(r: float, sigma: float, mu: float, height: float,
 def exercise_boundary(tau: float, r: float, sigma: float, tol: float = 1e-9) -> InversionResult:
     """Optimal exercise boundary (units of strike) at time-to-maturity tau, by
     dual-contour Bromwich inversion of the boundary symbol."""
-    require_finite("tau", tau)
-    if tau <= 0.0:
-        raise ValueError("exercise_boundary requires tau > 0")
+    require_positive("tau", tau)
     sym = boundary_symbol(r, sigma)
     _check_branch_path(r, sigma, effective_abscissa(sym, tau), height=_PANELS * math.pi / tau)
     return inverse_laplace(sym, tau, tol=tol)

@@ -19,6 +19,15 @@ from mellinbarnes.bs_pricer import (
     log_moneyness,
 )
 from mellinbarnes.fractional_green import ConvergenceError
+from mellinbarnes.mellin_core import (
+    Contour,
+    Direction,
+    GammaFraction,
+    GammaLinearFactor,
+    PowerFactor,
+    compatible_cone,
+    sum_residues,
+)
 
 REFERENCE_CONTRACT = OptionContract(spot=3700.0, strike=4000.0, tau=1.0, rate=0.01, sigma=0.25)
 
@@ -315,3 +324,50 @@ def test_heat_kernel_mb_raises_when_the_series_does_not_converge():
 def test_heat_kernel_mb_domain_error():
     with pytest.raises(ValueError):
         heat_kernel_mb(0.0, 1.0, 1.0)
+
+
+def _bs_fractions(c):
+    """The two parts of the Black-Scholes residue lattice as two-variable Gamma
+    fractions in w = (-n, -m), p = 1+2n-m: Gamma(w1) Gamma(1-w1) Gamma(1/2-w1)
+    Gamma(w2) / Gamma(2-2w1+w2) * |L|^p st^(2w1-2w2-1) 2^(w2-w1), one for the
+    spot and one for the strike.  Gamma(1/2+w2) Gamma(1/2-w2) = pi/cos(pi w2)
+    in a denominator cancels the (-1)^m of Gamma(w2)'s residues; it sits in
+    the part whose sign does not alternate with m, which L^p's sign decides."""
+    L = log_moneyness(c)
+    numerator = (GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((-1.0, 0.0), 1.0),
+                 GammaLinearFactor((-1.0, 0.0), 0.5), GammaLinearFactor((0.0, 1.0), 0.0))
+    lattice = (GammaLinearFactor((-2.0, 1.0), 2.0),)
+    cosine = (GammaLinearFactor((0.0, 1.0), 0.5), GammaLinearFactor((0.0, -1.0), 0.5))
+    powers = (PowerFactor(abs(L), (-2.0, 1.0), 1.0),
+              PowerFactor(c.sigma_sqrt_tau, (2.0, -2.0), -1.0),
+              PowerFactor(2.0, (-1.0, 1.0), 0.0))
+    spot, strike = c.spot / math.sqrt(2.0), -c.discounted_strike / math.sqrt(2.0)
+    if L > 0.0:
+        return (GammaFraction(numerator, lattice + cosine, powers, spot),
+                GammaFraction(numerator, lattice, powers, strike / math.pi))
+    return (GammaFraction(numerator, lattice, powers, -spot / math.pi),
+            GammaFraction(numerator, lattice + cosine, powers, -strike))
+
+
+def test_the_price_is_a_sum_over_a_compatible_cone_of_two_variable_fractions():
+    # the several-variable theorem on an integrand with a diagonal divisor
+    # family; acceptance criterion 2's grid at r = 0.02 and |x| <= 2.5, where
+    # x = L/(sigma sqrt tau)
+    contour = Contour((0.25, 0.5))
+    points = 0
+    for sk in (0.6, 0.8, 1.0, 1.25, 1.6):
+        for st in (0.1, 0.25, 0.5):
+            c = OptionContract(spot=sk, strike=1.0, tau=1.0, rate=0.02, sigma=st)
+            if abs(log_moneyness(c)) / c.sigma_sqrt_tau > 2.5:
+                continue
+            closed = bs_closed_form(c)
+            price = forward_term(c)
+            for f in _bs_fractions(c):
+                cone = compatible_cone(f, contour)
+                assert cone.faces == (Direction.LEFT, Direction.LEFT)
+                res = sum_residues(f, contour, cone, tol=min(1e-10, 1e-9 * closed), budget=400)
+                assert res.converged, (sk, st)
+                price += res.value
+            assert price == pytest.approx(closed, rel=1e-8), (sk, st)
+            points += 1
+    assert points == 13

@@ -369,3 +369,27 @@ def test_unreliable_inversions_are_reported_in_the_output_and_exit_3(capsys):
     payload = json.loads(out)
     assert (code, err, payload["results"]["rows"]) == (3, "", [])
     assert "contour methods disagree" in payload["diagnostics"]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["american", "kernel", "--rate", "0.1", "--sigma", "0.3", "--n", "2", "--m", "1",
+     "--tau", "2000"],
+    ["american", "boundary", "--rate", "0.1", "--sigma", "0.3", "--tau-grid", "2000:2000:1"],
+])
+def test_an_overflowing_inversion_exits_3(capsys, argv):
+    # e^{mu tau} of the vertical line is beyond the double range from tau ~ 1420
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (3, "")
+    assert "contour values not finite" in out
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("1e300:1e300:1", "below the spacing of doubles"),  # lo + k*step rounds to lo for every k
+    ("0:1e9:1e-9", "below the spacing of doubles"),     # ~1e18 points
+    ("1e20:1e20:1", "below the spacing of doubles"),    # was 8193 points, not 1
+    ("0:1e6:1e-6", "more than 100000 points"),
+])
+def test_a_grid_that_cannot_end_exits_2(capsys, grid, message):
+    code, out, err = run_cli(capsys, "american", "boundary", "--rate", "0.1", "--sigma", "0.3",
+                             f"--tau-grid={grid}")
+    assert code == 2 and out == "" and message in err

@@ -491,3 +491,16 @@ def test_golden_boundary_regression():
         params, value, _, _ = parse_golden_line(line)
         got = exercise_boundary(params["tau"], params["r"], params["sigma"]).value
         assert got == value
+
+
+def test_an_overflowing_vertical_factor_is_an_unreliable_inversion():
+    # e^{mu x} at the effective abscissa 10.5 and x = 100 is beyond the double range
+    sym = LaplaceSymbol(lambda p: 1 / (p - 10), 11.0, 10.0)
+    with pytest.raises(UnreliableInversionError, match="not finite"):
+        inverse_laplace(sym, 100.0)
+
+
+def test_talbot_takes_a_numpy_integer_node_count():
+    # an m no other test uses, so the numpy integer builds the nodes
+    f = lambda p: 1 / (p + 1)  # noqa: E731
+    assert talbot_inverse(f, 1.0, m=np.int64(37)) == talbot_inverse(f, 1.0, m=37)

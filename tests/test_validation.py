@@ -3,16 +3,20 @@ quadrature size that is not an integer >= 1, an order or term index that is
 not an integer, and input outside a function's domain are rejected with
 ValueError at every public entry point, and with exit code 2 by the CLI."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mellinbarnes.bs_pricer import (OptionContract, bs_series, bs_series_term, heat_kernel,
                                     heat_kernel_mb)
 from mellinbarnes.cli import main
-from mellinbarnes.fractional_green import (FractionalDiffusionParams, green_fractional_series,
-                                           green_normalization_check)
+from mellinbarnes.fractional_green import (FractionalDiffusionParams, default_esscher_grid,
+                                           esscher_mu_numeric, green_fractional,
+                                           green_fractional_series, green_normalization_check)
 from mellinbarnes.laplace_american import (
     AmericanConstants,
     LaplaceSymbol,
@@ -236,3 +240,150 @@ def test_cli_non_finite_input_exits_2(capsys, argv):
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and "error:" in out.err
+
+
+# ---------------------------------------------------------------------------
+# sweep: every float parameter that must be finite (and, in the first group,
+# positive) gets nan, +-inf and, if it must be positive, non-positive values
+# drawn by Hypothesis; a tuple parameter gets the value as its one entry
+# ---------------------------------------------------------------------------
+
+SYM = LaplaceSymbol(lambda p: 1 / p, 1.0)
+RECIPROCAL = {"func": lambda p: 1 / p}
+
+# (function, valid keyword arguments, parameters that must be finite and
+# positive, parameters that must be finite)
+SWEEP = [
+    (OptionContract, dict(spot=100.0, strike=100.0, tau=1.0, rate=0.01, sigma=0.2),
+     ("spot", "strike", "tau", "sigma"), ("rate",)),
+    (bs_series, dict(c=CONTRACT, tol=1e-10), ("tol",), ()),
+    (heat_kernel, dict(y=0.5, tau=1.0, sigma=0.3), ("tau", "sigma"), ("y",)),
+    (heat_kernel_mb, dict(y=0.5, tau=1.0, sigma=0.3, tol=1e-12), ("y", "tau", "sigma", "tol"), ()),
+    (FractionalDiffusionParams, dict(alpha=1.5, gamma_t=1.0, theta=0.0, mu=1.0),
+     ("alpha", "gamma_t", "mu"), ("theta",)),
+    (green_fractional_series, dict(x=0.5, t=1.0, p=GAUSS, tol=1e-12), ("t", "tol"), ("x",)),
+    (green_fractional, dict(x=0.5, t=1.0, p=GAUSS, tol=1e-12), ("t", "tol"), ("x",)),
+    (green_normalization_check, dict(p=GAUSS, t=1.0, grid=[-1.0, 1.0], tol=1e-12), ("t", "tol"), ()),
+    (default_esscher_grid, dict(p=GAUSS, t=1.0), ("t",), ()),
+    # a grid over which e^y g(y) decays, as the exponential moment check requires
+    (esscher_mu_numeric, dict(p=GAUSS, t=1.0, grid=[2.5, 3.0, 3.5, 4.0, 4.5, 5.0], tol=1e-12),
+     ("t", "tol"), ()),
+    (AmericanConstants.from_rates, dict(r=0.1, sigma=0.3), ("r", "sigma"), ()),
+    (AmericanConstants, dict(gamma_c=CONSTS.gamma_c, a=CONSTS.a, b=CONSTS.b),
+     ("gamma_c",), ("a", "b")),
+    (boundary_symbol, dict(r=0.1, sigma=0.3), ("r", "sigma"), ()),
+    (f_power, dict(x=1.0, nu=0.5), ("x",), ("nu",)),
+    (laguerre_coefficients, dict(n=2, alpha=0.5, nu=0.5), (), ("alpha", "nu")),
+    (laguerre_gen, dict(n=2, alpha=0.5, x=1.0, nu=0.5), ("x",), ("alpha", "nu")),
+    (f_shifted, dict(n=1, alpha=0.5, nu=1.5, x=1.0), ("nu", "x"), ("alpha",)),
+    (talbot_inverse, dict(RECIPROCAL, x=1.0), ("x",), ()),
+    (vertical_inverse, dict(RECIPROCAL, x=1.0, mu=1.0, symbol_scale=4.0),
+     ("x", "symbol_scale"), ("mu",)),
+    (inverse_laplace, dict(sym=SYM, x=1.0, tol=1e-9), ("x", "tol"), ()),
+    (LaplaceSymbol, dict(RECIPROCAL, mu=1.0, mu_min=0.0), (), ("mu", "mu_min")),
+    (american_kernel_oracle, dict(n=2, m=1, tau=0.5, c=CONSTS), ("tau",), ()),
+    (american_kernel_series, dict(n=2, m=1, tau=0.5, c=CONSTS, tol=1e-12), ("tau", "tol"), ()),
+    (regularized_gamma_p, dict(s=1.5, x=1.0), ("s",), ("x",)),
+    (exercise_boundary, dict(tau=0.5, r=0.1, sigma=0.3, tol=1e-9), ("tau", "r", "sigma", "tol"), ()),
+    (PowerFactor, dict(base=2.0, exponent_coeffs=(1.0,), exponent_offset=0.0),
+     ("base",), ("exponent_coeffs", "exponent_offset")),
+    (GammaLinearFactor, dict(coeffs=(1.0,), offset=0.0), (), ("coeffs", "offset")),
+    (GammaFraction, dict(numerator=EXP.numerator, constant=1.0), (), ("constant",)),
+    (Contour, dict(gamma=(1.0,)), (), ("gamma",)),
+    (sum_residues, dict(f=EXP, contour=C1, cone=Cone((Direction.LEFT,)), tol=1e-12), ("tol",), ()),
+    (sum_residues_1d, dict(f=EXP, contour=C1, direction=Direction.LEFT, tol=1e-12), ("tol",), ()),
+    (sum_residues_2d, dict(f=EXP2D, contour=C2, cone=Cone((Direction.LEFT,) * 2), tol=1e-12),
+     ("tol",), ()),
+]
+
+# (function, valid keyword arguments, integer parameters that must be >= 1)
+BUDGET_SWEEP = [
+    (bs_series, dict(c=CONTRACT, max_shells=200), ("max_shells",)),
+    (heat_kernel_mb, dict(y=0.5, tau=1.0, sigma=0.3, max_terms=400), ("max_terms",)),
+    (green_fractional_series, dict(x=0.5, t=1.0, p=GAUSS, max_terms=400), ("max_terms",)),
+    (american_kernel_symbol, dict(n=2, m=1, c=CONSTS), ("n", "m")),
+    (american_kernel_oracle, dict(n=2, m=1, tau=0.5, c=CONSTS), ("n", "m")),
+    (american_kernel_series, dict(n=2, m=1, tau=0.5, c=CONSTS, max_shells=400),
+     ("n", "m", "max_shells")),
+    (vertical_inverse, dict(RECIPROCAL, x=1.0, mu=1.0, panels=160, nodes=24), ("panels", "nodes")),
+    (sum_residues, dict(f=EXP, contour=C1, cone=Cone((Direction.LEFT,)), budget=400), ("budget",)),
+    (sum_residues_1d, dict(f=EXP, contour=C1, direction=Direction.LEFT, max_terms=400),
+     ("max_terms",)),
+    (sum_residues_2d, dict(f=EXP2D, contour=C2, cone=Cone((Direction.LEFT,) * 2), max_shells=400),
+     ("max_shells",)),
+]
+
+
+def _call_with(fn, kwargs, name, value):
+    return fn(**dict(kwargs, **{name: (value,) if isinstance(kwargs[name], tuple) else value}))
+
+
+def _cases(sweep, group):
+    return [pytest.param(fn, kwargs, name, id=f"{fn.__qualname__}-{name}")
+            for fn, kwargs, *groups in sweep for name in groups[group]]
+
+
+@pytest.mark.parametrize("fn, kwargs", [pytest.param(fn, kw, id=fn.__qualname__)
+                                        for fn, kw, *_ in SWEEP + BUDGET_SWEEP])
+def test_the_sweep_starts_from_valid_arguments(fn, kwargs):
+    fn(**kwargs)
+
+
+@pytest.mark.parametrize("fn, kwargs, name", _cases(SWEEP, 0))
+@settings(max_examples=5)
+@example(bad=NAN)
+@example(bad=INF)
+@example(bad=-INF)
+@example(bad=0.0)
+@given(bad=st.floats(max_value=0.0, allow_infinity=False))
+def test_a_positive_parameter_rejects_non_finite_and_non_positive_values(fn, kwargs, name, bad):
+    with pytest.raises(ValueError):
+        _call_with(fn, kwargs, name, bad)
+
+
+@pytest.mark.parametrize("fn, kwargs, name", _cases(SWEEP, 1))
+@given(bad=st.sampled_from((NAN, INF, -INF)))
+def test_a_finite_parameter_rejects_non_finite_values(fn, kwargs, name, bad):
+    with pytest.raises(ValueError):
+        _call_with(fn, kwargs, name, bad)
+
+
+@pytest.mark.parametrize("fn, kwargs, name", _cases(BUDGET_SWEEP, 0))
+@settings(max_examples=5)
+@example(bad=NAN)
+@example(bad=INF)
+@example(bad=0)
+@given(bad=st.integers(max_value=0))
+def test_a_budget_rejects_non_finite_and_non_positive_values(fn, kwargs, name, bad):
+    with pytest.raises(ValueError):
+        _call_with(fn, kwargs, name, bad)
+
+
+# each CLI leaf's valid flags, and its flags that take a number, "{}" marking
+# where the non-finite value goes
+CLI_LEAVES = [
+    ("price --spot 3700 --strike 4000 --tau 1 --sigma 0.25 --rate 0.01",
+     ("--spot={}", "--strike={}", "--tau={}", "--sigma={}", "--rate={}", "--tol={}")),
+    ("green --alpha 2 --gamma-t 1 --mu 0.5 --tau 1 --x-grid=0.5:1:0.5",
+     ("--alpha={}", "--gamma-t={}", "--theta={}", "--mu={}", "--tau={}", "--tol={}",
+      "--x-grid={}:1:0.5", "--x-grid=0.5:{}:0.5", "--x-grid=0.5:1:{}")),
+    ("american boundary --rate 0.1 --sigma 0.3 --tau-grid=0.5:1:0.5",
+     ("--rate={}", "--sigma={}", "--tol={}",
+      "--tau-grid={}:1:0.5", "--tau-grid=0.5:{}:0.5", "--tau-grid=0.5:1:{}")),
+    ("american kernel --rate 0.1 --sigma 0.3 --n 2 --m 1 --tau 0.5",
+     ("--rate={}", "--sigma={}", "--tau={}", "--tol={}")),
+    ("demo exp --x 1", ("--x={}", "--tol={}")),
+    ("demo beta --x 1", ("--x={}", "--tol={}")),
+    ("demo exp2d --x 1 1", ("--x=1 {}", "--x={} 1", "--tol={}")),
+]
+
+
+@pytest.mark.parametrize("leaf, flag", [pytest.param(leaf, flag, id=f"{leaf.split(' -')[0]} {flag}")
+                                        for leaf, flags in CLI_LEAVES for flag in flags])
+@given(bad=st.sampled_from(("nan", "inf", "-inf", "NaN", "-Infinity", "1e999", "-1e999")))
+def test_a_cli_leaf_rejects_a_non_finite_flag(leaf, flag, bad):
+    # not capsys: Hypothesis runs every example in one function-scoped fixture
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(leaf.split() + flag.format(bad).split())
+    assert code == 2 and out.getvalue() == "" and "error:" in err.getvalue()
