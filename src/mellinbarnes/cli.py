@@ -342,6 +342,9 @@ def cmd_demo(opts: dict, args) -> _Report:
     report.rows = [[sh.label, sh.shell_sum, sh.partial] for sh in res.record]
     report.summary.update(reference=reference, partial_sum=res.value,
                           abs_error=abs(res.value - reference))
+    if not res.converged:
+        report.diagnostics["warning"] = f"series not converged after {res.terms_used} terms"
+        report.failed = 1
     return report
 
 

@@ -126,7 +126,7 @@ def green_fractional_series(x: float, t: float, p: FractionalDiffusionParams,
         raise ValueError("green function domain error at x = 0 (1/(alpha x) prefactor)")
     if x < 0.0:
         # symmetric for theta = 0; otherwise the Riesz-Feller skew reflection
-        return green_fractional_series(-x, t, p.reflected(), tol=tol, max_terms=max_terms)
+        x, p = -x, p.reflected()
     scale = (p.mu * t ** p.gamma_t) ** (1.0 / p.alpha)
     u = x / scale
     frac = green_fraction(p, u)

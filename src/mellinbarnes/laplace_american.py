@@ -395,27 +395,6 @@ def regularized_gamma_p(s: float, x: float) -> float:
     return 1.0 - q
 
 
-def _exp_powers_derivatives(qmax: int, tau: float, a: float) -> list:
-    """Values E^{(q)}(tau) for q = 0..qmax of E(tau) = InvL[1/(sqrt(p+a^2)+a)]
-    = e^{-a^2 tau}/sqrt(pi tau) - a erfc(a sqrt(tau)).
-
-    E' collapses to -(1/(2 sqrt(pi))) e^{-a^2 tau} tau^{-3/2}; higher derivatives
-    follow the (power, coefficient) recurrence for e^{-a^2 t} * sum c_s t^{-s}.
-    """
-    a2 = a * a
-    e_at = math.exp(-a2 * tau)
-    vals = [e_at / math.sqrt(math.pi * tau) - a * math.erfc(a * math.sqrt(tau))]
-    coeffs = {1.5: -0.5 / math.sqrt(math.pi)}
-    for _ in range(qmax):
-        vals.append(e_at * sum(cs * tau ** (-s) for s, cs in sorted(coeffs.items())))
-        nxt: dict = {}
-        for s, cs in coeffs.items():
-            nxt[s] = nxt.get(s, 0.0) - a2 * cs
-            nxt[s + 1.0] = nxt.get(s + 1.0, 0.0) - s * cs
-        coeffs = nxt
-    return vals
-
-
 def _invl_w_pow_over_p(k: int, tau: float, a: float) -> float:
     """InvL[(p+a^2)^{k/2}/p](tau) for integer k >= 0, tau > 0.
 
@@ -425,11 +404,15 @@ def _invl_w_pow_over_p(k: int, tau: float, a: float) -> float:
     if k % 2 == 0:
         return a ** k
     i = (k - 1) // 2
-    ederivs = _exp_powers_derivatives(i, tau, a)
-    total = a ** k
     a2 = a * a
+    e_at = math.exp(-a2 * tau)
+    total = a ** k
     for q in range(i + 1):
-        total += math.comb(i, q) * a2 ** (i - q) * ederivs[q]
+        if q == 0:  # E = InvL[1/(sqrt(p+a^2)+a)]
+            e_q = e_at / math.sqrt(math.pi * tau) - a * math.erfc(a * math.sqrt(tau))
+        else:  # E' = -e^{-a^2 tau} tau^{-3/2}/(2 sqrt(pi)), so E^{(q)} is a Laguerre weight
+            e_q = e_at * laguerre_gen(q - 1, a2, tau, -1.5) * (-0.5 / math.sqrt(math.pi))
+        total += math.comb(i, q) * a2 ** (i - q) * e_q
     return total
 
 

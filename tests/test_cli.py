@@ -188,6 +188,15 @@ def test_demo_beta_sums_to_tolerance(capsys):
     assert abs(summary["partial_sum"] - 1.0 / 1.35) <= 1e-15
 
 
+def test_demo_divergent_side_exits_3(capsys):
+    code, out, err = run_cli(capsys, "demo", "beta", "--x", "2", "--side", "left",
+                             "--format", "json")
+    payload = json.loads(out)
+    assert code == 3 and err == ""
+    assert len(payload["results"]["rows"]) == 11
+    assert "warning" in payload["diagnostics"]
+
+
 def test_demo_exp2d(capsys):
     code, out, _ = run_cli(capsys, "demo", "exp2d", "--x", "1", "1")
     assert code == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mellinbarnes import fractional_green
 from mellinbarnes.bs_pricer import heat_kernel
 from mellinbarnes.fractional_green import (
     ConvergenceError,
@@ -108,6 +109,23 @@ def test_skew_reflection():
     p = FractionalDiffusionParams(alpha=1.5, gamma_t=1.0, theta=0.25, mu=1.0)
     for x in (0.5, 1.2):
         assert green_fractional(-x, 1.0, p) == green_fractional(x, 1.0, p.reflected())
+
+
+def test_negative_x_is_one_call(monkeypatch):
+    # a reflected point is summed in the same call, so the benchmark's tracer,
+    # which wraps the module global, counts one call per request
+    calls = []
+    inner = fractional_green.green_fractional_series
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fractional_green, "green_fractional_series", counting)
+    p = FractionalDiffusionParams(alpha=1.5, gamma_t=1.0, theta=0.25, mu=1.0)
+    res = fractional_green.green_fractional_series(-0.8, 1.0, p)
+    assert calls == [-0.8]
+    assert res == inner(0.8, 1.0, p.reflected())
 
 
 def test_skewed_density_validity():

@@ -312,6 +312,19 @@ def test_kernel_series_other_rate_regimes():
     assert s.value == pytest.approx(o, rel=1e-6)
 
 
+@pytest.mark.parametrize("rates", [(0.1, 0.3), (0.02, 0.4)])
+def test_kernel_binomial_with_order_gap_of_three_or_more(rates):
+    # m - n >= 3 reaches the odd powers (p+a^2)^{k/2}/p with k >= 3, whose
+    # transforms take the derivatives of E from the Laguerre polynomials
+    c = AmericanConstants.from_rates(*rates)
+    for n, m in ((1, 4), (1, 5), (1, 6), (2, 5), (2, 6)):
+        for tau in (0.25, 1.0):
+            s = american_kernel_series(n, m, tau, c, tol=1e-12)
+            o = american_kernel_oracle(n, m, tau, c)
+            assert s.converged
+            assert s.value == pytest.approx(o, rel=1e-9), (n, m, tau)
+
+
 def test_kernel_degenerate_b_zero_single_term():
     # 2r = sigma^2 -> gamma = 1, b = 0: the series collapses to its first term
     c = AmericanConstants.from_rates(0.045, 0.3)
