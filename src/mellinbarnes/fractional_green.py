@@ -108,15 +108,6 @@ def green_fraction(p: FractionalDiffusionParams, u: float) -> GammaFraction:
     )
 
 
-def _pick_direction(delta: float, u: float) -> Direction:
-    side = select_half_plane(delta)
-    if side is not Direction.BOTH:
-        return side
-    # zero-slope case: the right sum is the small-u expansion, the left the
-    # large-u one (the power factor is u^{+t})
-    return Direction.RIGHT if u < 1.0 else Direction.LEFT
-
-
 def green_fractional_series(x: float, t: float, p: FractionalDiffusionParams,
                             tol: float = 1e-12, max_terms: int = 400) -> ResidueSeriesResult:
     """Density with full summation diagnostics; see green_fractional."""
@@ -130,16 +121,20 @@ def green_fractional_series(x: float, t: float, p: FractionalDiffusionParams,
     scale = (p.mu * t ** p.gamma_t) ** (1.0 / p.alpha)
     u = x / scale
     frac = green_fraction(p, u)
-    delta = delta_vector(frac)[0]
     contour = Contour((0.5 * min(1.0, p.alpha),))
     # for delta != 0 the theorem-selected side is an entire series in u: any
     # growth is transient and is summed through; at delta = 0 the series has a
     # finite radius and persistent growth means the wrong side truly diverges
-    zero_slope = select_half_plane(delta) is Direction.BOTH
-    res = sum_residues_1d(frac, contour, _pick_direction(delta, u), tol=tol,
-                          max_terms=max_terms, early_divergence_exit=zero_slope)
-    pref = 1.0 / (p.alpha * x)
-    return replace(res, value=pref * res.value, max_term=pref * res.max_term,
+    side = select_half_plane(delta_vector(frac)[0])
+    zero_slope = side is Direction.BOTH
+    if zero_slope:  # right sum: small-u expansion; left: large-u (power u^{+t})
+        side = Direction.RIGHT if u < 1.0 else Direction.LEFT
+    res = sum_residues_1d(frac, contour, side, tol=tol, max_terms=max_terms,
+                          early_divergence_exit=zero_slope)
+    pref = 1.0 / (p.alpha * x)  # inf for |x| below about 5.6e-309
+    value = pref * res.value
+    return replace(res, value=value, converged=res.converged and math.isfinite(value),
+                   max_term=pref * res.max_term,
                    last_shell_magnitude=pref * res.last_shell_magnitude, record=[])
 
 

@@ -26,7 +26,7 @@ from enum import Enum
 from operator import getitem, itemgetter
 from typing import Iterable, Optional, Sequence
 
-from ._summation import ResidueSeriesResult, sum_shells
+from ._summation import NEEDED, ResidueSeriesResult, sum_shells
 from .special_functions import (POLE_TOL, pole_index, real_gamma_sign, require_finite,
                                 require_integer, require_positive)
 
@@ -536,9 +536,10 @@ def sum_residues(f: GammaFraction, contour: Contour, cone: Cone, tol: float = 1e
     orient = math.prod(1.0 if face is Direction.LEFT else -1.0 for face in cone.faces)
     # in 1-D, s counts the poles read; for d >= 2, s = used and the budget binds first
     reads = (budget + 9) * len(f.numerator)
+    finite = all(map(_Poles.finite, plan.axes, cone.faces))
 
     def shells():
-        used = 0
+        used = zeros = 0
         for s in itertools.count():
             # read through s, an axis shorter than s + 1 holds its whole pole set
             n = [p.read(s) for p in plan.axes]
@@ -553,10 +554,14 @@ def sum_residues(f: GammaFraction, contour: Contour, cone: Cone, tol: float = 1e
                 loc = plan.axes[0].locs[s]
                 term = _residue_at_point(plan, (s,))
                 if term != 0.0:
-                    used += 1
+                    used, zeros = used + 1, 0
+                elif used and not finite and plan.axes[0][s][0] == 1:
+                    zeros += 1  # a live residue below the float range
+                    if zeros >= NEEDED:
+                        return True
                 yield loc, [(loc, orient * term)]
 
-    if all(map(_Poles.finite, plan.axes, cone.faces)):
+    if finite:
         return sum_shells(shells(), 0.0, abort_on_divergence=False)
     return sum_shells(shells(), tol, abort_on_divergence=early_divergence_exit)
 

@@ -371,3 +371,17 @@ def test_the_price_is_a_sum_over_a_compatible_cone_of_two_variable_fractions():
             assert price == pytest.approx(closed, rel=1e-8), (sk, st)
             points += 1
     assert points == 13
+
+
+def test_at_the_money_series_keeps_only_the_log_free_terms():
+    # log(S/K) + r tau = 0 exactly: every term with a positive power of the log vanishes
+    c = OptionContract(100.0, 100.0, 1.0, 0.0, 0.2)
+    assert log_moneyness(c) == 0.0
+    assert all(bs_series_term(n, m, c) == 0.0
+               for n in range(8) for m in range(2 * n + 1))
+    res = bs_series(c, tol=1e-14)
+    terms = dict(kt for shell in res.record for kt in shell.terms)
+    assert sorted(terms) == [(n, 2 * n + 1) for n in range(8)]
+    for (n, m), t in terms.items():
+        assert t == pytest.approx(bs_series_term(n, m, c), rel=1e-14, abs=0)
+    assert res.value == pytest.approx(bs_closed_form(c), rel=1e-14, abs=0)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -402,3 +403,17 @@ def test_a_grid_that_cannot_end_exits_2(capsys, grid, message):
     code, out, err = run_cli(capsys, "american", "boundary", "--rate", "0.1", "--sigma", "0.3",
                              f"--tau-grid={grid}")
     assert code == 2 and out == "" and message in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_examples_run(capsys):
+    # every runnable line of the README's CLI block; a README that drifts from
+    # the CLI fails here.  The `price ...` line is a placeholder, not a command.
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("mellinbarnes ") and "..." not in ln]
+    assert len(lines) >= 7
+    for line in lines:
+        code, out, err = run_cli(capsys, *shlex.split(line, comments=True)[1:])
+        assert (code, bool(out), err) == (0, True, ""), line

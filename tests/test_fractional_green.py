@@ -9,7 +9,6 @@ from mellinbarnes.fractional_green import (
     ConvergenceError,
     ExponentialMomentError,
     FractionalDiffusionParams,
-    _pick_direction,
     default_esscher_grid,
     esscher_mu_numeric,
     green_fraction,
@@ -148,17 +147,28 @@ def test_self_similarity():
                 assert (lam ** expo) * g2 == pytest.approx(g1, rel=1e-8)
 
 
-def test_half_plane_selection_structure():
+def test_half_plane_selection_structure(monkeypatch):
     # gamma_t < alpha: Delta = gamma_t/alpha - 1 < 0 forces the right half-plane
     p = FractionalDiffusionParams(alpha=2.0, gamma_t=0.7, theta=0.0, mu=1.0)
     frac = green_fraction(p, 0.5)
     delta = delta_vector(frac)[0]
     assert delta == pytest.approx(0.7 / 2.0 - 1.0, abs=1e-15)
-    assert _pick_direction(delta, 0.5) is Direction.RIGHT
-    assert _pick_direction(delta, 7.0) is Direction.RIGHT
-    # gamma_t = alpha: both half-planes permitted; side follows the scale ratio
-    assert _pick_direction(0.0, 0.5) is Direction.RIGHT
-    assert _pick_direction(0.0, 2.0) is Direction.LEFT
+    seen = []
+    inner = fractional_green.sum_residues_1d
+
+    def spy(frac, contour, side, **kwargs):
+        seen.append((side, kwargs["early_divergence_exit"]))
+        return inner(frac, contour, side, **kwargs)
+
+    monkeypatch.setattr(fractional_green, "sum_residues_1d", spy)
+    green_fractional_series(0.5, 1.0, p)
+    green_fractional_series(7.0, 1.0, p)
+    # gamma_t = alpha: both half-planes permitted; side follows the scale ratio,
+    # and only there may persistent growth end the series early
+    green_fractional_series(0.5, 1.0, CAUCHY)
+    green_fractional_series(2.0, 1.0, CAUCHY)
+    assert seen == [(Direction.RIGHT, False), (Direction.RIGHT, False),
+                    (Direction.RIGHT, True), (Direction.LEFT, True)]
 
 
 def test_gaussian_even_poles_cancelled():
@@ -192,6 +202,23 @@ def test_normalization_cauchy_heavy_tails():
 def test_domain_error_at_zero():
     with pytest.raises(ValueError):
         green_fractional(0.0, 1.0, GAUSS)
+
+
+@pytest.mark.parametrize("x", [1e-99, 1e-100, 1e-200, -1e-200])
+def test_gaussian_point_whose_later_residues_underflow_converges(x):
+    # every residue after the first one or two is below the float range: the
+    # series is complete, not an unconverged one whose candidates ran out
+    res = green_fractional_series(x, 1.0, GAUSS)
+    assert res.converged
+    assert res.value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-13, abs=0)
+
+
+def test_overflowing_prefactor_is_not_converged():
+    # 1/(alpha x) is inf at the smallest subnormal x
+    res = green_fractional_series(5e-324, 1.0, GAUSS)
+    assert not res.converged
+    with pytest.raises(ConvergenceError):
+        green_fractional(5e-324, 1.0, GAUSS)
 
 
 def test_honest_nonconvergence():

@@ -273,6 +273,11 @@ def test_regularized_gamma_p_against_mpmath():
             assert regularized_gamma_p(s, x) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+def test_regularized_gamma_p_at_zero():
+    for s in (0.5, 1.0, 7.5):
+        assert regularized_gamma_p(s, 0.0) == 0.0
+
+
 def test_invl_w_pow_over_p_against_bromwich():
     a = 1.3
     for k in (0, 1, 2, 3, 4, 5):
@@ -470,6 +475,23 @@ def test_boundary_branch_check_clean_for_valid_rates():
     for (r, sigma) in ((0.1, 0.3), (0.02, 0.4), (0.3, 0.2)):
         inv = exercise_boundary(0.5, r, sigma)
         assert inv.value > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=3.0), st.floats(min_value=0.05, max_value=2.0),
+       st.floats(min_value=0.0, max_value=10.0), st.floats(min_value=1e-3, max_value=1e4))
+def test_boundary_log_argument_stays_in_the_right_half_plane(r, sigma, mu, height):
+    # p + gamma = (w - b)(w + b) and gamma + b = a, so the log argument of
+    # boundary_symbol is (a + w)/gamma: with a > 0 and the principal root it
+    # never reaches the negative real axis, and no branch cut is crossed
+    c = AmericanConstants.from_rates(r, sigma)
+    g, a, b = c.gamma_c, c.a, c.b
+    p = mu + 1j * height * np.arange(65) / 64
+    w = np.sqrt(p + a * a)
+    arg = 1 - (p + g) / (g * (b - w))
+    want = (a + w) / g
+    assert np.all(np.abs(arg - want) <= 1e-12 * np.abs(want))
+    assert a / g > 0.5 and np.all(arg.real >= a / g)
 
 
 # ---------------------------------------------------------------------------

@@ -577,6 +577,29 @@ def test_underflowed_poles_near_a_far_contour_are_not_a_converged_sum():
     assert not res.converged
 
 
+def test_underflowed_residues_before_the_first_term_do_not_end_the_series():
+    # Gamma(z) cos(pi z)/pi (1e400)^{-z-2.9}, left of 0.5: the residues
+    # (1e400)^{k-2.9}/(pi k!) at z = -k are 0.0 for k <= 2, then overflow
+    f = GammaFraction(numerator=(GammaLinearFactor((1.0,), 0.0),),
+                      denominator=(GammaLinearFactor((1.0,), 0.5), GammaLinearFactor((-1.0,), 0.5)),
+                      powers=(PowerFactor(1e200, (-1.0,), -2.9),) * 2)
+    res = sum_residues_1d(f, Contour((0.5,)), Direction.LEFT)
+    assert not res.converged and res.terms_used > 0
+
+
+def test_cancelled_poles_in_a_row_do_not_end_the_series():
+    # Gamma(z)/[Gamma(z/4+1/4) Gamma(z/4+1/2) Gamma(z/4+3/4)] = Gamma(z/4)
+    # 4^{z-1/2}/(2 pi)^{3/2} (Gauss): three cancelled poles follow each live
+    # one, and the sum left of 0.5 is 2 exp(-(x/4)^4)/(2 pi)^{3/2}
+    x = 4.0
+    f = GammaFraction(numerator=(GammaLinearFactor((1.0,), 0.0),),
+                      denominator=tuple(GammaLinearFactor((0.25,), k / 4) for k in (1, 2, 3)),
+                      powers=(PowerFactor(x, (-1.0,), 0.0),))
+    res = sum_residues_1d(f, Contour((0.5,)), Direction.LEFT)
+    assert res.converged and res.terms_used > 1
+    assert res.value == pytest.approx(2.0 * math.exp(-1.0) / (2.0 * math.pi) ** 1.5, rel=1e-13)
+
+
 def test_converged_value_stable_under_doubling():
     tol = 1e-11
     a = sum_residues_1d(gamma_z(2.0), Contour((1.0,)), Direction.LEFT, tol=tol, max_terms=100)
