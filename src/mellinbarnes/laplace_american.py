@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import mpmath
 
-from ._summation import KahanSum, sum_shells
-from .mellin_core import ResidueSeriesResult
+from ._summation import KahanSum, ResidueSeriesResult, sum_shells
 from .special_functions import (PoleError, pole_index, real_gamma_sign, require_finite,
                                 require_integer, require_positive)
 
@@ -60,8 +59,6 @@ __all__ = [
     "boundary_symbol",
     "exercise_boundary",
     "regularized_gamma_p",
-    "format_golden_line",
-    "parse_golden_line",
 ]
 
 
@@ -505,39 +502,3 @@ def exercise_boundary(tau: float, r: float, sigma: float, tol: float = 1e-9) -> 
     sym = boundary_symbol(r, sigma)
     _check_branch_path(r, sigma, effective_abscissa(sym, tau), height=_PANELS * math.pi / tau)
     return inverse_laplace(sym, tau, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# golden-value record format (plain text, one record per line)
-# ---------------------------------------------------------------------------
-
-def format_golden_line(params: dict, value: float, method: str, tolerance: float) -> str:
-    """`key=value ... value=<17g> method=<name> tol=<g>` with deterministic key order."""
-    parts = [f"{k}={params[k]:.17g}" for k in sorted(params)]
-    parts.append(f"value={value:.17g}")
-    parts.append(f"method={method}")
-    parts.append(f"tol={tolerance:g}")
-    return " ".join(parts)
-
-
-def parse_golden_line(line: str):
-    """Inverse of format_golden_line; returns (params, value, method, tolerance)."""
-    params: dict = {}
-    value: Optional[float] = None
-    method: Optional[str] = None
-    tolerance: Optional[float] = None
-    for tok in line.split():
-        key, _, raw = tok.partition("=")
-        if not _:
-            raise ValueError(f"malformed golden token {tok!r}")
-        if key == "value":
-            value = float(raw)
-        elif key == "method":
-            method = raw
-        elif key == "tol":
-            tolerance = float(raw)
-        else:
-            params[key] = float(raw)
-    if value is None or method is None or tolerance is None:
-        raise ValueError(f"incomplete golden record {line!r}")
-    return params, value, method, tolerance

@@ -254,3 +254,21 @@ def test_esscher_integrand_identity_near_zero():
         assert math.exp(y) * g == pytest.approx(g * math.exp(y), rel=0.0)
     grid = default_esscher_grid(p)
     assert not np.any(grid == 0.0)
+
+
+def test_skewed_esscher_grid_spans_ten_scales_staggered_by_half_a_step():
+    grid = default_esscher_grid(FractionalDiffusionParams(1.5, 1.0, -0.5, 0.5))
+    scale = 0.5 ** (1.0 / 1.5)
+    step = 20.0 * scale / 240
+    assert len(grid) == 241 and not np.any(grid == 0.0)
+    assert grid[0] == pytest.approx(-10.0 * scale + 0.5 * step, rel=1e-15)
+    assert grid[-1] == pytest.approx(10.0 * scale + 0.5 * step, rel=1e-15)
+    assert np.diff(grid) == pytest.approx(step, rel=1e-12)
+    assert (grid[0], grid[-1], step) == pytest.approx((-6.27336, 6.32585, 0.0524967), abs=1e-5)
+
+
+def test_esscher_grid_ending_before_the_integrand_peak_is_refused():
+    # e^y g(y) of this Gaussian (variance 1) peaks at y = 1, right of the grid
+    p = FractionalDiffusionParams(2.0, 1.0, 0.0, 0.5)
+    with pytest.raises(ExponentialMomentError, match="grows on the right tail"):
+        esscher_mu_numeric(p, grid=np.linspace(-4.95, 0.45, 55))

@@ -1,5 +1,6 @@
 import cmath
 import concurrent.futures
+import json
 import math
 import pathlib
 import tracemalloc
@@ -27,11 +28,9 @@ from mellinbarnes.laplace_american import (
     exercise_boundary,
     f_power,
     f_shifted,
-    format_golden_line,
     inverse_laplace,
     laguerre_coefficients,
     laguerre_gen,
-    parse_golden_line,
     regularized_gamma_p,
     talbot_inverse,
     vertical_inverse,
@@ -498,34 +497,35 @@ def test_boundary_log_argument_stays_in_the_right_half_plane(r, sigma, mu, heigh
 # golden records
 # ---------------------------------------------------------------------------
 
+def golden_records(name):
+    return [json.loads(line) for line in (GOLDEN_DIR / name).read_text().splitlines()]
+
+
 def test_golden_line_round_trip():
-    params = {"n": 1.0, "m": 2.0, "tau": 0.25, "r": 0.1, "sigma": 0.3}
-    line = format_golden_line(params, -0.781061, "talbot+vertical", 1e-5)
-    back, value, method, tol = parse_golden_line(line)
-    assert back == params and value == -0.781061
-    assert method == "talbot+vertical" and tol == 1e-5
+    record = {"n": 1, "m": 2, "tau": 0.15000000000000002, "r": 0.1, "sigma": 0.3,
+              "value": -0.78061099582184645}
+    back = json.loads(json.dumps(record, sort_keys=True))
+    assert back == record and type(back["n"]) is int and type(back["m"]) is int
+    keys = {"american_kernel.jsonl": ["m", "n", "r", "sigma", "tau", "value"],
+            "exercise_boundary.jsonl": ["r", "sigma", "tau", "value"]}
+    for name, want in keys.items():
+        for line in (GOLDEN_DIR / name).read_text().splitlines():
+            assert json.dumps(json.loads(line), sort_keys=True) == line
+            assert list(json.loads(line)) == want
 
 
 def test_golden_kernel_regression():
-    path = GOLDEN_DIR / "american_kernel.txt"
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        params, value, _, _ = parse_golden_line(line)
-        c = AmericanConstants.from_rates(params["r"], params["sigma"])
-        got = american_kernel_oracle(int(params["n"]), int(params["m"]), params["tau"], c)
+    for rec in golden_records("american_kernel.jsonl"):
+        c = AmericanConstants.from_rates(rec["r"], rec["sigma"])
+        got = american_kernel_oracle(rec["n"], rec["m"], rec["tau"], c)
         # Talbot values come from pure mpmath arithmetic: exact reproduction
-        assert got == value
+        assert got == rec["value"]
 
 
 def test_golden_boundary_regression():
-    path = GOLDEN_DIR / "exercise_boundary.txt"
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        params, value, _, _ = parse_golden_line(line)
-        got = exercise_boundary(params["tau"], params["r"], params["sigma"]).value
-        assert got == value
+    for rec in golden_records("exercise_boundary.jsonl"):
+        got = exercise_boundary(rec["tau"], rec["r"], rec["sigma"]).value
+        assert got == rec["value"]
 
 
 def test_an_overflowing_vertical_factor_is_an_unreliable_inversion():

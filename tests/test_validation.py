@@ -30,7 +30,6 @@ from mellinbarnes.laplace_american import (
     inverse_laplace,
     laguerre_coefficients,
     laguerre_gen,
-    parse_golden_line,
     regularized_gamma_p,
     talbot_inverse,
     vertical_inverse,
@@ -188,8 +187,6 @@ ENTRY_POINTS = {
     "gamma_p_x_negative": lambda: regularized_gamma_p(1.0, -1.0),
     "kernel_series_tau_zero": lambda: american_kernel_series(2, 1, 0.0, CONSTS),
     "boundary_tau_zero": lambda: exercise_boundary(0.0, 0.1, 0.3),
-    "golden_line_token_without_equals": lambda: parse_golden_line("x"),
-    "golden_line_incomplete": lambda: parse_golden_line("a=1"),
     "gamma_fraction_power_without_numerator": lambda: GammaFraction(
         numerator=(), powers=(PowerFactor(2.0, (1.0,)),)),
     "enumerate_2d_fraction": lambda: enumerate_poles_1d(EXP2D, Direction.LEFT, 5, C2),
