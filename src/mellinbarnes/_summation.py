@@ -97,11 +97,14 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
     decide how the series ends: the one stopping rule of the library.
 
     The non-zero terms are added to `start`: one by one and compensated for a
-    float start; for an mpmath start, each shell's terms and the running
-    total in one fsum of their context, so a shell is rounded once (its guard
-    digits make compensation useless).  A shell with no non-zero term is
-    skipped and never reaches the stopping rule.  Every other shell's magnitude, the float sum
-    of its term magnitudes, ends the series
+    float start, whose series' terms must be Python floats; for an mpmath
+    start, each shell's terms and the running total in one fsum of their
+    context, so a shell is rounded once (its guard digits make compensation
+    useless).  A float shell's record keeps the shell's own list when it holds
+    no zero term, so the caller must not reuse it; any other record holds new
+    (key, float term) pairs.  A shell with no non-zero term is skipped and
+    never reaches the stopping rule.  Every other shell's magnitude, the float
+    sum of its term magnitudes, ends the series
     - not converged, at OVERFLOW or above (inf and nan included);
     - converged, as the NEEDED-th consecutive one at or below
       tol * max(1, |partial sum|); never with tol 0.0, since the magnitude
@@ -113,10 +116,12 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
     True has yielded the whole series: it is converged with an empty tail
     (last_shell_magnitude 0.0).  All returned numbers are floats.
     """
-    acc = KahanSum(start) if isinstance(start, float) else _ShellFsum(start)
+    flt = isinstance(start, float)
+    acc = None if flt else _ShellFsum(start)
+    total, comp = float(start), 0.0  # the float pass's Kahan pair, as in KahanSum.add
     used = small = grow = 0
     last = 0.0  # magnitude of the last non-empty shell
-    max_term = abs(float(start))
+    max_term = abs(total)
     record = []
     shells = iter(shells)
     while True:
@@ -124,25 +129,44 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
             label, pairs = next(shells)
         except StopIteration as stop:
             whole = stop.value is True
-            return ResidueSeriesResult(float(acc.value), used, 0.0 if whole else last, whole, True,
+            value = total if flt else float(acc.value)
+            return ResidueSeriesResult(value, used, 0.0 if whole else last, whole, True,
                                        max_term, record)
-        terms = []
         mag = shell_sum = 0.0
-        for key, t in pairs:
-            if not t:
-                continue
-            acc.add(t)
-            t = float(t)
-            shell_sum += t
-            a = abs(t)
-            mag += a
-            if a > max_term:
-                max_term = a
-            terms.append((key, t))
+        if flt:
+            terms = pairs
+            for key, t in pairs:
+                if not t:
+                    terms = None
+                    continue
+                y = t - comp
+                u = total + y
+                comp = (u - total) - y
+                total = u
+                shell_sum += t
+                a = abs(t)
+                mag += a
+                if a > max_term:
+                    max_term = a
+            if terms is None:
+                terms = [p for p in pairs if p[1]]
+        else:
+            terms = []
+            for key, t in pairs:
+                if not t:
+                    continue
+                acc.add(t)
+                t = float(t)
+                shell_sum += t
+                a = abs(t)
+                mag += a
+                if a > max_term:
+                    max_term = a
+                terms.append((key, t))
         if not terms:
             continue
         used += len(terms)
-        value = float(acc.value)
+        value = total if flt else float(acc.value)
         record.append(Shell(label, terms, shell_sum, value))
         small = small + 1 if mag <= tol * max(1.0, abs(value)) else 0
         # the first shell counts as growth from 0.0; a run of growth from it

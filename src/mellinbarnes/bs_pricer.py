@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath
+from mpmath.libmp import mpf_mul, mpf_mul_int
 
 from ._summation import ConvergenceError, sum_shells
 from .mellin_core import (
@@ -132,6 +133,26 @@ def _lattice_shells(max_shells: int):
         yield s, range((s + 1) // 3, s + 1)
 
 
+# the steps of _series_sum, shared by every call: shell s -> per term (n, m)
+# of the shell, in ascending n, its key (n, m), the parities of n and m and
+# the numerator 2(2n+1)m and denominator (p+1)(p+2)(p+3) of the step to the
+# next term.  A row is never changed once stored, and callers racing on a
+# shell store equal rows, so no lock is needed.  Only the first
+# _STEPS_CACHED shells are kept, about 0.28 MB; a shell past them is built
+# per call, so the table stays bounded whatever max_shells asks
+_STEPS_CACHED = 64
+_STEPS: dict = {}
+
+
+def _step_row(s: int, ns: range) -> tuple:
+    row = tuple(((n, s - n), n % 2, (s - n) % 2, float(2 * (2 * n + 1) * (s - n)),
+                 float((p + 1) * (p + 2) * (p + 3)))
+                for n, p in zip(ns, range(1 + 3 * ns.start - s, 2 * s + 2, 3)))
+    if s < _STEPS_CACHED:
+        _STEPS[s] = row
+    return row
+
+
 def _series_sum(c: OptionContract, tol: float, max_shells: int) -> ResidueSeriesResult:
     """Forward term plus the first max_shells shells of the residue lattice,
     in double precision.
@@ -145,7 +166,9 @@ def _series_sum(c: OptionContract, tol: float, max_shells: int) -> ResidueSeries
     follows from the previous shell's by one rational factor, so no factorial,
     log or exp is evaluated per term.  Keeping x out of that chain lets x = 0
     through: only the p = 0 terms survive there.  Tables of the factors would
-    overflow or underflow in floats, so this recurrence stays.
+    overflow or underflow in floats, so this recurrence stays; the integers of
+    each step, the keys and the parities come from _STEPS, a table shared by
+    every call and bounded to its first _STEPS_CACHED shells.
     """
     Kd = c.discounted_strike
     st = c.sigma_sqrt_tau
@@ -163,15 +186,13 @@ def _series_sum(c: OptionContract, tol: float, max_shells: int) -> ResidueSeries
                 # the first term steps n0 only after a first term with p = 0
                 e0 = e0 * (2 * n0 - 1) / 2 if n0 > prev else e0 * pw0 / (2 * (s - n0)) * st
             prev = n0
-            pw0 = pw = 1 + 3 * n0 - s
-            d = e0 * x ** pw
+            pw0 = 1 + 3 * n0 - s
+            d = e0 * x ** pw0
             pairs = []
-            for n in ns:
-                m = s - n
-                t = inv * d * strike_part[m % 2]
-                pairs.append(((n, m), -t if n % 2 else t))
-                d = d * (2 * (2 * n + 1) * m) / ((pw + 1) * (pw + 2) * (pw + 3)) * x3_st
-                pw += 3
+            for key, n_odd, m_odd, num, den in _STEPS.get(s) or _step_row(s, ns):
+                t = inv * d * strike_part[m_odd]
+                pairs.append((key, -t if n_odd else t))
+                d = d * num / den * x3_st
             yield s, pairs
 
     # the lattice sum is entire: shell growth is transient, never divergence
@@ -184,8 +205,10 @@ def _series_sum_mp(c: OptionContract, tol: float, max_shells: int, dps: int) -> 
     A term factors as (-1)^n (2n-1)!! * [inv (S - (-1)^m K e^{-r tau})
     (sigma sqrt tau)^m / (2^m m!)] * [x^p / p!] with p = 1+2n-m and inv =
     1/sqrt(2 pi), so it is two multiplies of three per-index tables: A[n] as
-    exact signed integers, B[m] and C[p] as mpf, each extended when a shell
-    first needs the index.
+    exact signed integers, B[m] and C[p] as raw mpf values, each extended when
+    a shell first needs the index.  The multiplies are libmp's, at the
+    context's precision and rounding: the roundings of A[n] * B[m] * C[p] on
+    mpf objects.
     """
     ctx = mpmath.MPContext()
     ctx.dps = dps
@@ -197,18 +220,25 @@ def _series_sum_mp(c: OptionContract, tol: float, max_shells: int, dps: int) -> 
     inv = 1 / ctx.sqrt(2 * ctx.pi)
     strike_part = (inv * (S - Kd), inv * (S + Kd))
 
+    prec, rnd = ctx._prec_rounding
+    make_mpf = ctx.make_mpf
+
     def shells():
-        A, B, C = [1], [], [ctx.mpf(1)]
+        A, B, C = [1], [], [ctx.mpf(1)._mpf_]
         st_m = ctx.mpf(1)  # st^m / (2^m m!) of the next B[m]
+        xc = ctx.mpf(1)  # x^p / p! of the last C[p]
         for s, ns in _lattice_shells(max_shells):
             while len(A) <= s:
                 A.append(-(2 * len(A) - 1) * A[-1])
             while len(B) <= s - ns.start:
-                B.append(strike_part[len(B) % 2] * st_m)
+                B.append((strike_part[len(B) % 2] * st_m)._mpf_)
                 st_m = st_m * st / (2 * len(B))
             while len(C) <= 2 * s + 1:
-                C.append(C[-1] * x / len(C))
-            yield s, [((n, s - n), A[n] * B[s - n] * C[1 + 3 * n - s]) for n in ns]
+                xc = xc * x / len(C)
+                C.append(xc._mpf_)
+            yield s, [((n, s - n), make_mpf(mpf_mul(mpf_mul_int(B[s - n], A[n], prec, rnd),
+                                                     C[1 + 3 * n - s], prec, rnd)))
+                      for n in ns]
 
     return sum_shells(shells(), tol, abort_on_divergence=False, start=(S - Kd) / 2)
 

@@ -177,7 +177,11 @@ def laguerre_gen(n: int, alpha: float, x: float, nu: float) -> float:
     """l_n^{(alpha)}(x, nu) under the derivative convention (see
     laguerre_coefficients); the weighted polynomial is e^{-alpha x} * this."""
     require_positive("laguerre_gen x (fractional powers of x)", x)
-    return sum(c * x ** (nu - k) for k, c in laguerre_coefficients(n, alpha, nu))
+    # a plain left fold: builtin sum() compensates floats since Python 3.12
+    total = 0.0
+    for k, c in laguerre_coefficients(n, alpha, nu):
+        total += c * x ** (nu - k)
+    return total
 
 
 def f_shifted(n: int, alpha: float, nu: float, x: float) -> float:

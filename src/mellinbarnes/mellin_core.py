@@ -95,7 +95,11 @@ class GammaLinearFactor:
         return len(self.coeffs)
 
     def argument(self, z: Sequence[float]) -> float:
-        return sum(c * x for c, x in zip(self.coeffs, z)) + self.offset
+        # a plain left fold: builtin sum() compensates floats since Python 3.12
+        t = 0.0
+        for c, x in zip(self.coeffs, z):
+            t += c * x
+        return t + self.offset
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,10 @@ class PowerFactor:
         return len(self.exponent_coeffs)
 
     def exponent(self, z: Sequence[float]) -> float:
-        return sum(c * x for c, x in zip(self.exponent_coeffs, z)) + self.exponent_offset
+        t = 0.0  # a plain left fold, as in GammaLinearFactor.argument
+        for c, x in zip(self.exponent_coeffs, z):
+            t += c * x
+        return t + self.exponent_offset
 
 
 @dataclass(frozen=True)

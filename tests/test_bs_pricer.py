@@ -1,5 +1,7 @@
+import concurrent.futures
 import hashlib
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -111,6 +113,41 @@ def test_recurrence_shells_match_closed_form_terms():
             assert want != 0.0
             worst = max(worst, abs(term - want) / abs(want))
     assert worst <= 1e-12
+
+
+def _record_bits(res):
+    return [(sh.label, [(k, t.hex()) for k, t in sh.terms], sh.shell_sum.hex(), sh.partial.hex())
+            for sh in res.record]
+
+
+def test_step_table_is_bounded_and_gives_the_same_bits_cold_and_warm(monkeypatch):
+    # tol = 0 never stops: 150 shells run past the cached ones
+    assert bs_pricer._STEPS_CACHED < 150
+    monkeypatch.setattr(bs_pricer, "_STEPS", {})
+    cold = _series_sum(REFERENCE_CONTRACT, 0.0, 150)
+    assert sorted(bs_pricer._STEPS) == list(range(bs_pricer._STEPS_CACHED))
+    warm = _series_sum(REFERENCE_CONTRACT, 0.0, 150)
+    assert len(bs_pricer._STEPS) == bs_pricer._STEPS_CACHED
+    assert [sh.label for sh in cold.record] == list(range(150))
+    assert _record_bits(warm) == _record_bits(cold)
+    assert warm.value.hex() == cold.value.hex()
+
+
+def test_threads_filling_a_cold_step_table_get_the_same_bits(monkeypatch):
+    # the table is shared: threads racing to fill a shell write equal rows
+    monkeypatch.setattr(bs_pricer, "_STEPS", {})
+    want = _record_bits(_series_sum(REFERENCE_CONTRACT, 0.0, 100))
+    monkeypatch.setattr(bs_pricer, "_STEPS", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(_series_sum, REFERENCE_CONTRACT, 0.0, 100) for _ in range(16)]
+            got = [_record_bits(f.result(timeout=120)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g == want for g in got)
+    assert sorted(bs_pricer._STEPS) == list(range(bs_pricer._STEPS_CACHED))
 
 
 def test_series_zero_log_moneyness_structure():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mellinbarnes import mellin_core
-from mellinbarnes._summation import sum_shells
+from mellinbarnes._summation import KahanSum, sum_shells
 from mellinbarnes.bs_pricer import OptionContract, bs_series
 from mellinbarnes.fractional_green import (FractionalDiffusionParams, green_fraction,
                                            green_fractional_series)
@@ -444,6 +444,68 @@ def test_sum_shells_rounds_an_mpmath_shell_once():
     s = sum_shells(iter([(0, [(0, big), (1, ctx.mpf(1)), (2, -big)])]), tol=1e-12, start=ctx.mpf(0))
     assert s.value == 1.0
     assert s.record[0].partial == 1.0 and s.exhausted
+
+
+def _kahan_reference(shells, start):
+    """sum_shells' float pass with KahanSum and new (key, float(t)) pairs, for
+    a series summed whole (tol 0.0, no divergence exit, no overflow)."""
+    acc = KahanSum(start)
+    used, last, max_term, record = 0, 0.0, abs(float(start)), []
+    for label, pairs in shells:
+        terms = []
+        mag = shell_sum = 0.0
+        for key, t in pairs:
+            if not t:
+                continue
+            acc.add(t)
+            t = float(t)
+            shell_sum += t
+            mag += abs(t)
+            max_term = max(max_term, abs(t))
+            terms.append((key, t))
+        if terms:
+            used += len(terms)
+            record.append((label, terms, shell_sum, float(acc.value)))
+            last = mag
+    return float(acc.value), used, max_term, last, record
+
+
+# zeros of both signs, subnormals, magnitudes 2^-1074 .. 2^960, and terms
+# within 2^64 of each other, whose roundoff the compensation keeps; a shell's
+# magnitude and the total stay far below OVERFLOW
+_TERMS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324)),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-1074, 960)),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-32, 32)),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_TERMS, max_size=6), max_size=25), _TERMS)
+def test_sum_shells_float_pass_matches_the_kahan_fold(shell_terms, start):
+    shells = [(i, [((i, j), t) for j, t in enumerate(ts)]) for i, ts in enumerate(shell_terms)]
+    s = sum_shells(iter(shells), 0.0, abort_on_divergence=False, start=start)
+    value, used, max_term, last, record = _kahan_reference(shells, start)
+    assert s.exhausted and not s.converged
+    assert (s.value.hex(), s.terms_used, s.max_term.hex(), s.last_shell_magnitude.hex()) == (
+        value.hex(), used, max_term.hex(), last.hex())
+    assert len(s.record) == len(record)
+    for sh, (label, terms, shell_sum, partial) in zip(s.record, record):
+        assert (sh.label, sh.shell_sum.hex(), sh.partial.hex()) == (label, shell_sum.hex(), partial.hex())
+        assert [(k, t.hex()) for k, t in sh.terms] == [(k, t.hex()) for k, t in terms]
+        assert all(type(t) is float for _, t in sh.terms)
+        # a shell without a zero term is recorded as its own list
+        pairs = shells[label][1]
+        assert (sh.terms is pairs) == all(t for _, t in pairs)
+
+
+def test_linear_forms_are_plain_left_folds():
+    # builtin sum() compensates floats since Python 3.12, which would give
+    # 1 + 2^-52 here; the plain fold loses both small products to rounding
+    z = (1.0, 1e-16, 1e-16)
+    assert GammaLinearFactor((1.0, 1.0, 1.0), 0.0).argument(z) == 1.0
+    assert PowerFactor(2.0, (1.0, 1.0, 1.0)).exponent(z) == 1.0
 
 
 def test_series_results_are_real_floats():
