@@ -14,17 +14,18 @@ Delta = gamma_t/alpha - 1 selects the half-plane: right for gamma_t < alpha
 (e.g. the Cauchy case), where the convergent side depends on whether u is
 inside or outside the unit scale.  Cancelled poles (eg. the even lattice in
 the Gaussian degeneration) drop out through the denominator multiplicities.
+The exponential drift -log E[e^Y] is the Mittag-Leffler closed form, not a quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._summation import ConvergenceError
+from ._summation import ConvergenceError, sum_shells
 from .mellin_core import (
     Contour,
     Direction,
@@ -36,7 +37,7 @@ from .mellin_core import (
     select_half_plane,
     sum_residues_1d,
 )
-from .special_functions import require_finite, require_positive
+from .special_functions import require_finite, require_integer, require_positive
 
 __all__ = [
     "FractionalDiffusionParams",
@@ -47,7 +48,6 @@ __all__ = [
     "green_fractional",
     "green_normalization_check",
     "esscher_mu_numeric",
-    "default_esscher_grid",
 ]
 
 class ExponentialMomentError(ArithmeticError):
@@ -162,46 +162,31 @@ def green_normalization_check(p: FractionalDiffusionParams, t: float,
     return float(np.trapezoid(ys, xs))
 
 
-def default_esscher_grid(p: FractionalDiffusionParams, t: float = 1.0) -> np.ndarray:
-    """Quadrature grid for the exponential moment, staggered to avoid y = 0.
-
-    Gaussian case: e^y g(y) is a Gaussian centred at y = v with variance v
-    (v = 2 mu t^gamma); v +- 5.5 sqrt(v) captures the mass to ~2e-8 while
-    keeping the argument ratio small enough for full double accuracy of the
-    residue series.  Other (extremal-skew) cases get a scale-based window.
-    """
-    require_positive("t", t)
-    if p.alpha == 2.0:
-        v = 2.0 * p.mu * t ** p.gamma_t
-        lo, hi = v - 5.5 * math.sqrt(v), v + 5.5 * math.sqrt(v)
-    else:
-        scale = (p.mu * t ** p.gamma_t) ** (1.0 / p.alpha)
-        lo, hi = -10.0 * scale, 10.0 * scale
-    xs = np.linspace(lo, hi, 241)
-    step = xs[1] - xs[0]
-    return xs + 0.5 * step  # stagger off any exact zero
-
-
 def esscher_mu_numeric(p: FractionalDiffusionParams, t: float = 1.0,
-                       grid: Optional[Sequence[float]] = None,
                        tol: float = 1e-12, max_terms: int = 2000) -> float:
-    """Risk-neutral exponential drift: mu such that e^{mu} E[e^Y] = 1 at t = 1,
-    i.e. -log integral e^y g(y, t) dy.
+    """Risk-neutral exponential drift -log E[e^Y], Y with density g(y, t).
 
-    Exists only when the right tail decays super-exponentially: alpha = 2, or
-    the maximally negatively skewed case theta = alpha - 2.  A power right
-    tail (any other parameter choice) makes the integrand grow; detected and
-    reported as ExponentialMomentError.
+    It exists only for alpha = 2 or theta = alpha - 2; a power right tail (any
+    other law) raises ExponentialMomentError.  There E[e^Y] is the
+    Mittag-Leffler function E_{gamma_t}(z), z = mu t^{gamma_t} (Mainardi,
+    Luchko & Pagnini 2001): e^z at gamma_t = 1, otherwise its positive series
+    sum_k z^k / Gamma(1 + gamma_t k).  Raises ConvergenceError when that
+    series does not converge within max_terms terms or a term overflows.
     """
+    require_integer("max_terms", max_terms)
+    require_positive("t, tol and max_terms", t, tol, max_terms)
     if p.alpha < 2.0 and abs(p.theta - (p.alpha - 2.0)) > 1e-12:
         raise ExponentialMomentError(
             "exponential moment does not exist: right tail decays as a power")
-    xs = np.asarray(grid if grid is not None else default_esscher_grid(p, t), dtype=float)
-    ys = np.array([math.exp(y) * green_fractional(float(y), t, p, tol=tol, max_terms=max_terms)
-                   for y in xs])
-    # growth on the right tail means the transform diverges regardless of the
-    # analytic precheck (guards mis-scaled grids too)
-    tail = ys[-6:]
-    if np.all(np.diff(tail) > 0.0):
-        raise ExponentialMomentError("exponential moment does not exist: integrand grows on the right tail")
-    return -math.log(float(np.trapezoid(ys, xs)))
+    z = p.mu * t ** p.gamma_t
+    require_finite("mu t^gamma_t", z)
+    if p.gamma_t == 1.0 or z == 0.0:
+        return -z
+    g, log_z = p.gamma_t, math.log(z)
+    # a term capped at e^709 is past OVERFLOW, so sum_shells ends the series there
+    shells = ((k, [(k, math.exp(min(k * log_z - math.lgamma(1.0 + g * k), 709.0)))])
+              for k in range(max_terms))
+    res = sum_shells(shells, tol, abort_on_divergence=False)
+    if not res.converged:
+        raise ConvergenceError(f"Mittag-Leffler series not converged at z={z}")
+    return -math.log(res.value)

@@ -4,19 +4,28 @@ import numpy as np
 import pytest
 
 from mellinbarnes import fractional_green
-from mellinbarnes.bs_pricer import heat_kernel
+from mellinbarnes.bs_pricer import OptionContract, bs_closed_form, heat_kernel
 from mellinbarnes.fractional_green import (
     ConvergenceError,
     ExponentialMomentError,
     FractionalDiffusionParams,
-    default_esscher_grid,
     esscher_mu_numeric,
     green_fraction,
     green_fractional,
     green_fractional_series,
     green_normalization_check,
 )
-from mellinbarnes.mellin_core import Contour, Direction, delta_vector, enumerate_poles_1d
+from mellinbarnes.mellin_core import (
+    Contour,
+    Direction,
+    GammaFraction,
+    GammaLinearFactor,
+    PowerFactor,
+    compatible_cone,
+    delta_vector,
+    enumerate_poles_1d,
+    sum_residues,
+)
 
 GAUSS = FractionalDiffusionParams(alpha=2.0, gamma_t=1.0, theta=0.0, mu=0.5)   # sigma = 1
 CAUCHY = FractionalDiffusionParams(alpha=1.0, gamma_t=1.0, theta=0.0, mu=1.0)  # c = t
@@ -245,30 +254,124 @@ def test_esscher_heavy_right_tail_diverges():
         esscher_mu_numeric(p)
 
 
-def test_esscher_integrand_identity_near_zero():
-    # e^0 scaling: integrand equals the density itself at origin-adjacent points
-    p = GAUSS
-    for y in (0.25, -0.25):
-        g = green_fractional(y, 1.0, p)
-        assert math.exp(0.0) * g == g
-        assert math.exp(y) * g == pytest.approx(g * math.exp(y), rel=0.0)
-    grid = default_esscher_grid(p)
-    assert not np.any(grid == 0.0)
+def test_esscher_drift_at_gamma_one_is_minus_mu_t_exactly():
+    # E_1(z) = e^z: the Gaussian and the maximally negatively skewed laws,
+    # where the former quadrature was 22% off (alpha = 1.9) or raised
+    for alpha, theta, mu in ((2.0, 0.0, 0.125), (2.0, 0.0, 0.045), (1.9, -0.1, 0.1),
+                             (1.5, -0.5, 0.5), (1.8, -0.2, 0.5)):
+        p = FractionalDiffusionParams(alpha, 1.0, theta, mu)
+        assert esscher_mu_numeric(p) == -mu
+        assert esscher_mu_numeric(p, 2.5) == -mu * 2.5
 
 
-def test_skewed_esscher_grid_spans_ten_scales_staggered_by_half_a_step():
-    grid = default_esscher_grid(FractionalDiffusionParams(1.5, 1.0, -0.5, 0.5))
-    scale = 0.5 ** (1.0 / 1.5)
-    step = 20.0 * scale / 240
-    assert len(grid) == 241 and not np.any(grid == 0.0)
-    assert grid[0] == pytest.approx(-10.0 * scale + 0.5 * step, rel=1e-15)
-    assert grid[-1] == pytest.approx(10.0 * scale + 0.5 * step, rel=1e-15)
-    assert np.diff(grid) == pytest.approx(step, rel=1e-12)
-    assert (grid[0], grid[-1], step) == pytest.approx((-6.27336, 6.32585, 0.0524967), abs=1e-5)
+def test_esscher_drift_at_gamma_one_half_is_the_erfc_closed_form():
+    # E_{1/2}(z) = e^{z^2} erfc(-z); at the default tol 1e-12 the truncated
+    # tail is up to 2e-13 of E (z = 3), so the series is asked for 1e-14
+    for z in (0.1, 0.5, 1.0, 2.0, 3.0):
+        p = FractionalDiffusionParams(2.0, 0.5, 0.0, z)
+        exact = -(z * z + math.log(math.erfc(-z)))
+        assert esscher_mu_numeric(p, tol=1e-14) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
-def test_esscher_grid_ending_before_the_integrand_peak_is_refused():
-    # e^y g(y) of this Gaussian (variance 1) peaks at y = 1, right of the grid
-    p = FractionalDiffusionParams(2.0, 1.0, 0.0, 0.5)
-    with pytest.raises(ExponentialMomentError, match="grows on the right tail"):
-        esscher_mu_numeric(p, grid=np.linspace(-4.95, 0.45, 55))
+def _mittag_leffler_drift(p, t):
+    """-log E_{gamma_t}(mu t^{gamma_t}), summed at 50 digits."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    g = ctx.mpf(p.gamma_t)
+    z = ctx.mpf(p.mu) * ctx.mpf(t) ** g
+    total, k = ctx.mpf(0), 0
+    while True:
+        term = z ** k / ctx.gamma(1 + g * k)
+        total += term
+        if k > 2 and term < ctx.mpf(10) ** -60:
+            return float(-ctx.log(total))
+        k += 1
+
+
+@pytest.mark.parametrize("alpha, gamma_t, theta, mu, t", [
+    (2.0, 0.7, 0.0, 0.5, 1.0),
+    (2.0, 0.9, 0.0, 0.2, 1.0),
+    (1.7, 0.8, -0.3, 0.2, 1.0),
+    (2.0, 0.7, 0.0, 0.5, 3.0),
+])
+def test_esscher_drift_matches_a_50_digit_mittag_leffler_sum(alpha, gamma_t, theta, mu, t):
+    p = FractionalDiffusionParams(alpha, gamma_t, theta, mu)
+    assert esscher_mu_numeric(p, t) == pytest.approx(_mittag_leffler_drift(p, t), abs=1e-13)
+
+
+def test_esscher_drift_whose_terms_overflow_raises():
+    # z = 30 at gamma_t = 1/2: the terms pass e^709 long before they decay
+    with pytest.raises(ConvergenceError):
+        esscher_mu_numeric(FractionalDiffusionParams(2.0, 0.5, 0.0, 30.0))
+    with pytest.raises(ConvergenceError):  # a budget too small to converge
+        esscher_mu_numeric(FractionalDiffusionParams(2.0, 0.5, 0.0, 1.0), max_terms=3)
+
+
+def test_esscher_drift_of_a_scale_past_the_double_range():
+    # z = mu t^gamma_t overflows to inf: no drift, not -inf
+    with pytest.raises(ValueError):
+        esscher_mu_numeric(FractionalDiffusionParams(2.0, 1.0, 0.0, 1e200), 1e200)
+    # z underflows to 0.0: E(0) = 1, where log z would fail
+    assert esscher_mu_numeric(FractionalDiffusionParams(2.0, 0.9, 0.0, 1e-200), 1e-200) == 0.0
+
+
+@pytest.mark.parametrize("max_terms", [0, -1, 2.5, True, math.nan])
+def test_esscher_drift_rejects_a_budget_that_is_not_a_positive_integer(max_terms):
+    for gamma_t in (1.0, 0.5):  # the gamma_t = 1 shortcut checks it too
+        with pytest.raises(ValueError):
+            esscher_mu_numeric(FractionalDiffusionParams(2.0, gamma_t, 0.0, 0.5),
+                               max_terms=max_terms)
+
+
+def test_esscher_drift_matches_the_gaussian_trapezoid_oracle():
+    # the former quadrature: e^y g(y) is a Gaussian centred at v = sigma^2
+    # with variance v; v +- 5.5 sqrt(v) holds its mass to about 2e-8, and the
+    # 241-point window is staggered by half a step
+    for sigma in (0.3, 0.5):
+        p = FractionalDiffusionParams(2.0, 1.0, 0.0, sigma * sigma / 2.0)
+        v = sigma * sigma
+        ys = np.linspace(v - 5.5 * math.sqrt(v), v + 5.5 * math.sqrt(v), 241)
+        ys += 0.5 * (ys[1] - ys[0])
+        integrand = [math.exp(y) * green_fractional(float(y), 1.0, p, max_terms=2000) for y in ys]
+        oracle = -math.log(float(np.trapezoid(integrand, ys)))
+        assert esscher_mu_numeric(p) == pytest.approx(oracle, abs=1e-6)
+
+
+def _fmls_call_fraction(spot, strike, tau, rate, alpha, drift, X):
+    """The finite-moment log-stable call (Carr & Wu 2003) as one two-variable
+    Gamma fraction: Gamma(t1) Gamma(t2) Gamma(1-t2) / (Gamma(1/2+t2)
+    Gamma(1/2-t2) Gamma(1 + 1/alpha + (t1-t2)/alpha)) |k|^{-t1}
+    X^{(t1-t2)/alpha + 1/alpha} K e^{-r tau} pi/alpha, with the log-forward
+    k = log(S/K) + r tau + drift and X the law's scale.  For k > 0,
+    Gamma(1/2+t1) Gamma(1/2-t1) = pi/cos(pi t1) in the denominator, with a
+    further pi, cancels the (-1)^n of Gamma(t1)'s residues."""
+    k = math.log(spot / strike) + rate * tau + drift
+    numerator = (GammaLinearFactor((1.0, 0.0), 0.0), GammaLinearFactor((0.0, 1.0), 0.0),
+                 GammaLinearFactor((0.0, -1.0), 1.0))
+    denominator = (GammaLinearFactor((0.0, 1.0), 0.5), GammaLinearFactor((0.0, -1.0), 0.5),
+                   GammaLinearFactor((1.0 / alpha, -1.0 / alpha), 1.0 + 1.0 / alpha))
+    constant = strike * math.exp(-rate * tau) * math.pi / alpha
+    if k > 0.0:
+        denominator += (GammaLinearFactor((1.0, 0.0), 0.5), GammaLinearFactor((-1.0, 0.0), 0.5))
+        constant *= math.pi
+    powers = (PowerFactor(abs(k), (-1.0, 0.0), 0.0),
+              PowerFactor(X, (1.0 / alpha, -1.0 / alpha), 1.0 / alpha))
+    return GammaFraction(numerator, denominator, powers, constant)
+
+
+@pytest.mark.parametrize("spot", [80.0, 100.0, 125.0])
+def test_the_fractional_diffusion_call_at_alpha_two_is_black_scholes(spot):
+    # alpha = 2 is the Gaussian of variance sigma^2 tau: mu = sigma^2/2, the
+    # scale X = sigma^2 tau/2 and the drift -log E[e^Y] = -sigma^2 tau/2
+    strike, tau, rate, sigma = 100.0, 1.0, 0.05, 0.2
+    drift = esscher_mu_numeric(FractionalDiffusionParams(2.0, 1.0, 0.0, sigma * sigma / 2.0), tau)
+    f = _fmls_call_fraction(spot, strike, tau, rate, 2.0, drift, sigma * sigma * tau / 2.0)
+    contour = Contour((0.25, 0.5))
+    cone = compatible_cone(f, contour)
+    assert cone.faces == (Direction.LEFT, Direction.LEFT)
+    res = sum_residues(f, contour, cone, tol=1e-14)
+    assert res.converged
+    closed = bs_closed_form(OptionContract(spot, strike, tau, rate, sigma))
+    assert res.value == pytest.approx(closed, rel=1e-13)

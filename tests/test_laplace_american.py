@@ -545,3 +545,50 @@ def test_talbot_takes_a_numpy_integer_node_count():
     # an m no other test uses, so the numpy integer builds the nodes
     f = lambda p: 1 / (p + 1)  # noqa: E731
     assert talbot_inverse(f, 1.0, m=np.int64(37)) == talbot_inverse(f, 1.0, m=37)
+
+
+def _stirling_first_kind_rows():
+    """Rows m = 1, 2, ... of the unsigned Stirling numbers of the first kind,
+    c(m, n) at index n, by c(m, n) = c(m-1, n-1) + (m-1) c(m-1, n)."""
+    row = [1]  # c(0, 0)
+    while True:
+        m = len(row)
+        row = [0] + [row[n - 1] + (m - 1) * (row[n] if n < m else 0) for n in range(1, m + 1)]
+        yield row
+
+
+def test_stirling_rows_count_permutations_by_cycles():
+    rows = _stirling_first_kind_rows()
+    assert [next(rows) for _ in range(4)] == [[0, 1], [0, 1, 1], [0, 2, 3, 1], [0, 6, 11, 6, 1]]
+    assert all(sum(next(rows)) == math.factorial(m) for m in range(5, 30))
+
+
+@pytest.mark.parametrize("r, sigma, tau", [(0.1, 0.2, 1.0), (0.1, 0.2, 4.0), (0.05, 0.2, 4.0),
+                                           (0.03, 0.15, 4.0)])
+def test_the_boundary_is_a_stirling_sum_of_american_kernels(r, sigma, tau):
+    # with u = (p+gamma)/(gamma(b-w)) the boundary symbol is
+    # (1/p) exp{-log(1-u)/(b+w)}; expanding the exp and
+    # (-log(1-u))^n/n! = sum_{m>=n} c(m,n) u^m/m! turns each u^m/(p (b+w)^n)
+    # into A_{n,m}/gamma^m, so
+    # B(tau) = 1 + sum_{m>=1} sum_{n=1..m} c(m,n)/(m! gamma^m) A_{n,m}(tau)
+    c = AmericanConstants.from_rates(r, sigma)
+    total = 1.0
+    for m, stirling in enumerate(_stirling_first_kind_rows(), start=1):
+        assert m <= 60, "the rows did not fall below 1e-16"
+        scale = math.factorial(m) * c.gamma_c ** m
+        row = 0.0
+        for n in range(1, m + 1):
+            kernel = american_kernel_series(n, m, tau, c, tol=1e-14)
+            assert kernel.converged, (n, m)
+            row += stirling[n] / scale * kernel.value
+        total += row
+        if abs(row) < 1e-16:
+            break
+    assert total == pytest.approx(exercise_boundary(tau, r, sigma).value, abs=1e-13)
+
+
+@pytest.mark.parametrize("r, sigma", [(0.1, 0.2), (0.05, 0.2)])
+def test_the_boundary_tends_to_the_perpetual_put_boundary(r, sigma):
+    # Merton (1973): the perpetual put is exercised at gamma/(1+gamma) of the strike
+    g = 2.0 * r / (sigma * sigma)
+    assert exercise_boundary(8.0, r, sigma).value == pytest.approx(g / (1.0 + g), abs=1e-12)
