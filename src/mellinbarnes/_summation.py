@@ -4,11 +4,13 @@ sum_shells, the one summation loop every residue series goes through.
 Summation order is always fixed by the caller's shell iterator, so converged
 results are bit-reproducible run to run.  Elevated precision never touches
 mpmath's global context: each elevated computation builds its own
-mpmath.MPContext, so concurrent callers cannot perturb each other.
+mpmath.MPContext, so concurrent callers cannot perturb each other; its terms
+are summed exactly, and each reported float is rounded once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -41,25 +43,12 @@ class KahanSum:
         self.value = t
 
 
-class _ShellFsum:
-    """Running total of mpmath terms, rounded once per shell: the terms added
-    since `value` was last read are summed with the total by one fsum of
-    their own context when it is read."""
-
-    __slots__ = ("_fsum", "_parts")
-
-    def __init__(self, start):
-        self._fsum = start.context.fsum
-        self._parts = [start]
-
-    def add(self, term):
-        self._parts.append(term)
-
-    @property
-    def value(self):
-        if len(self._parts) > 1:
-            self._parts = [self._fsum(self._parts)]
-        return self._parts[0]
+def _nearest_float(man: int, exp: int) -> float:
+    """man * 2**exp rounded once to the nearest float, +-inf past the float range."""
+    try:
+        return man / (1 << -exp) if exp < 0 else float(man << exp)
+    except OverflowError:
+        return math.inf if man > 0 else -math.inf
 
 
 class Shell(NamedTuple):
@@ -97,12 +86,13 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
     decide how the series ends: the one stopping rule of the library.
 
     The non-zero terms are added to `start`: one by one and compensated for a
-    float start, whose series' terms must be Python floats; for an mpmath
-    start, each shell's terms and the running total in one fsum of their
-    context, so a shell is rounded once (its guard digits make compensation
-    useless).  A float shell's record keeps the shell's own list when it holds
-    no zero term, so the caller must not reuse it; any other record holds new
-    (key, float term) pairs.  A shell with no non-zero term is skipped and
+    float start, whose series' terms must be Python floats; exactly for an
+    mpmath start and mpf terms, each term float, partial sum and the value
+    being the float nearest the exact number (+-inf past the float range; an
+    inf or nan term gives what mpf arithmetic would).  A float shell's record
+    keeps the shell's own list when it holds no zero term, so the caller must
+    not reuse it; any other record holds new (key, float term) pairs.  A
+    shell with no non-zero term is skipped and
     never reaches the stopping rule.  Every other shell's magnitude, the float
     sum of its term magnitudes, ends the series
     - not converged, at OVERFLOW or above (inf and nan included);
@@ -117,8 +107,13 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
     (last_shell_magnitude 0.0).  All returned numbers are floats.
     """
     flt = isinstance(start, float)
-    acc = None if flt else _ShellFsum(start)
     total, comp = float(start), 0.0  # the float pass's Kahan pair, as in KahanSum.add
+    if not flt:
+        # exact total man * 2**exp; `off` sums inf and nan terms (mantissa 0), and wins
+        sign, man, exp, _ = start._mpf_
+        off = total if not man and exp else 0.0
+        man = -man if sign else man
+        total = off or _nearest_float(man, exp)
     used = small = grow = 0
     last = 0.0  # magnitude of the last non-empty shell
     max_term = abs(total)
@@ -129,7 +124,7 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
             label, pairs = next(shells)
         except StopIteration as stop:
             whole = stop.value is True
-            value = total if flt else float(acc.value)
+            value = total if flt else off or _nearest_float(man, exp)
             return ResidueSeriesResult(value, used, 0.0 if whole else last, whole, True,
                                        max_term, record)
         mag = shell_sum = 0.0
@@ -155,8 +150,15 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
             for key, t in pairs:
                 if not t:
                     continue
-                acc.add(t)
-                t = float(t)
+                sign, m, e, _ = t._mpf_
+                if m:
+                    m = -m if sign else m
+                    d = e - exp  # align to the smaller exponent
+                    man, exp = (man + (m << d), exp) if d >= 0 else ((man << -d) + m, e)
+                    t = _nearest_float(m, e)
+                else:  # inf or nan
+                    t = float(t)
+                    off += t
                 shell_sum += t
                 a = abs(t)
                 mag += a
@@ -166,7 +168,7 @@ def sum_shells(shells: Iterable, tol: float, abort_on_divergence: bool = True,
         if not terms:
             continue
         used += len(terms)
-        value = total if flt else float(acc.value)
+        value = total if flt else off or _nearest_float(man, exp)
         record.append(Shell(label, terms, shell_sum, value))
         small = small + 1 if mag <= tol * max(1.0, abs(value)) else 0
         # the first shell counts as growth from 0.0; a run of growth from it

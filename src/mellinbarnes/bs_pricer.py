@@ -9,8 +9,8 @@ double-precision pass (a term recurrence, compensated summation) is exact to
 ~1e-13; deep in/out of the money the series is a huge-cancellation sum, so
 the evaluator tracks the term/sum condition number and transparently reruns
 the same shells at elevated precision when the roundoff floor would exceed
-the requested tolerance.  That pass builds each term from per-index tables
-and rounds each shell once with its running total.
+the requested tolerance.  That pass builds each term exactly from per-index
+tables and sums the terms exactly, rounding only the floats it reports.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-from mpmath.libmp import mpf_mul, mpf_mul_int
 
 from ._summation import ConvergenceError, sum_shells
 from .mellin_core import (
@@ -204,11 +203,11 @@ def _series_sum_mp(c: OptionContract, tol: float, max_shells: int, dps: int) -> 
 
     A term factors as (-1)^n (2n-1)!! * [inv (S - (-1)^m K e^{-r tau})
     (sigma sqrt tau)^m / (2^m m!)] * [x^p / p!] with p = 1+2n-m and inv =
-    1/sqrt(2 pi), so it is two multiplies of three per-index tables: A[n] as
-    exact signed integers, B[m] and C[p] as raw mpf values, each extended when
-    a shell first needs the index.  The multiplies are libmp's, at the
-    context's precision and rounding: the roundings of A[n] * B[m] * C[p] on
-    mpf objects.
+    1/sqrt(2 pi), a product of per-index tables extended as shells need them:
+    A[n] = (2n-1)!! as exact integers, B[m] and C[p] as raw mpf values of the
+    context.  The product is exact (a product of odd mantissas stays
+    normalized) and so is sum_shells' sum: only the tables and the reported
+    floats are rounded.
     """
     ctx = mpmath.MPContext()
     ctx.dps = dps
@@ -219,8 +218,6 @@ def _series_sum_mp(c: OptionContract, tol: float, max_shells: int, dps: int) -> 
     x = (ctx.log(S / K) + r * tau) / st
     inv = 1 / ctx.sqrt(2 * ctx.pi)
     strike_part = (inv * (S - Kd), inv * (S + Kd))
-
-    prec, rnd = ctx._prec_rounding
     make_mpf = ctx.make_mpf
 
     def shells():
@@ -229,16 +226,17 @@ def _series_sum_mp(c: OptionContract, tol: float, max_shells: int, dps: int) -> 
         xc = ctx.mpf(1)  # x^p / p! of the last C[p]
         for s, ns in _lattice_shells(max_shells):
             while len(A) <= s:
-                A.append(-(2 * len(A) - 1) * A[-1])
+                A.append((2 * len(A) - 1) * A[-1])
             while len(B) <= s - ns.start:
                 B.append((strike_part[len(B) % 2] * st_m)._mpf_)
                 st_m = st_m * st / (2 * len(B))
             while len(C) <= 2 * s + 1:
                 xc = xc * x / len(C)
                 C.append(xc._mpf_)
-            yield s, [((n, s - n), make_mpf(mpf_mul(mpf_mul_int(B[s - n], A[n], prec, rnd),
-                                                     C[1 + 3 * n - s], prec, rnd)))
-                      for n in ns]
+            # b, c: the raw B[m], C[p]; a zero one (x or S - K e^{-r tau} is 0) gives no term
+            yield s, [((n, s - n), make_mpf((n % 2 ^ b[0] ^ c[0], man, b[2] + c[2],
+                                             man.bit_length())))
+                      for n in ns if (man := A[n] * (b := B[s - n])[1] * (c := C[1 + 3 * n - s])[1])]
 
     return sum_shells(shells(), tol, abort_on_divergence=False, start=(S - Kd) / 2)
 

@@ -277,6 +277,41 @@ def test_escalated_bits_are_pinned(params, bits):
     assert got == bits
 
 
+def _escalated_bits(params):
+    spot, tau, rate, sigma = params
+    c = OptionContract(spot, 100.0, tau, rate, sigma)
+    res = bs_series(c, tol=min(1e-10, 1e-9 * bs_closed_form(c)))
+    floats = ",".join(t.hex() for sh in res.record for _, t in sh.terms)
+    return (res.value.hex(), res.terms_used, res.converged, res.max_term.hex(),
+            hashlib.sha256(floats.encode()).hexdigest()[:16])
+
+
+def test_threads_get_the_pinned_escalated_bits():
+    # each escalation builds its own context and tables; threads switching
+    # every microsecond through every pinned contract get the pinned bits
+    jobs = ESCALATED_BITS * 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(_escalated_bits, params) for params, _ in jobs]
+            got = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [bits for _, bits in jobs]
+
+
+def test_escalated_pass_at_the_money_without_drift():
+    # spot = strike, rate 0: x and S - K e^{-r tau} are exactly 0 in the
+    # context, so the zero table entries give no term and only p = 0 remains
+    c = OptionContract(spot=100.0, strike=100.0, tau=1.0, rate=0.0, sigma=0.2)
+    res = bs_pricer._series_sum_mp(c, 1e-15, 200, 30)
+    assert res.converged
+    assert all(1 + 2 * n - m == 0 for sh in res.record for (n, m), _ in sh.terms)
+    assert res.value == pytest.approx(bs_closed_form(c), rel=1e-14)
+    assert res.value == pytest.approx(_series_sum(c, 1e-15, 200).value, rel=1e-14)
+
+
 # (q, tau, rate, sigma) at strike 100, spot 100 exp(q sigma sqrt(tau) - rate tau),
 # so q = [log] / (sigma sqrt tau): contracts whose float pass escalates
 ESCALATING = [

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -444,6 +445,90 @@ def test_sum_shells_rounds_an_mpmath_shell_once():
     s = sum_shells(iter([(0, [(0, big), (1, ctx.mpf(1)), (2, -big)])]), tol=1e-12, start=ctx.mpf(0))
     assert s.value == 1.0
     assert s.record[0].partial == 1.0 and s.exhausted
+
+
+@pytest.mark.parametrize("shell, bits", [
+    (["1", "inf"], ("inf", "inf", "inf", [(0, "0x1.0000000000000p+0"), (1, "inf")], "inf")),
+    (["1", "-inf"], ("-inf", "inf", "inf", [(0, "0x1.0000000000000p+0"), (1, "-inf")], "-inf")),
+    (["nan"], ("nan", "nan", "0x1.0000000000000p+1", [(0, "nan")], "nan")),
+    (["inf", "-inf"], ("nan", "inf", "inf", [(0, "inf"), (1, "-inf")], "nan")),
+])
+def test_sum_shells_ends_an_mpmath_series_at_a_non_finite_term(shell, bits):
+    # an mpf inf or nan has mantissa 0 yet is no zero term: its shell ends the
+    # series, unconverged, with the value and magnitude mpf arithmetic gives
+    ctx = mpmath.MPContext()
+    ctx.dps = 30
+    shells = [(0, [(0, ctx.mpf(1) / 3)]), (1, [(k, ctx.mpf(t)) for k, t in enumerate(shell)])]
+    s = sum_shells(iter(shells), 1e-12, start=ctx.mpf(2))
+    value, mag, max_term, terms, sums = bits
+    third = (1 / 3).hex()
+    assert (s.value.hex(), s.last_shell_magnitude.hex(), s.converged, s.exhausted, s.terms_used,
+            s.max_term.hex()) == (value, mag, False, False, 1 + len(terms), max_term)
+    first = (0, [(0, third)], third, (2 + 1 / 3).hex())
+    assert [(sh.label, [(k, t.hex()) for k, t in sh.terms], sh.shell_sum.hex(), sh.partial.hex())
+            for sh in s.record] == [first, (1, terms, sums, sums)]
+
+
+def _nearest_float(q):
+    """The float nearest the rational q, +-inf past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+# raw mpf values as (mantissa, exponent): zeros, mantissas far wider than the
+# context's 103 bits, and exponents across +-1100 bits, so terms and sums
+# overflow, fall subnormal or cancel
+_MP_TERMS = st.tuples(
+    st.one_of(st.just(0), st.integers(-2 ** 60, 2 ** 60), st.integers(-2 ** 400, 2 ** 400)),
+    st.one_of(st.integers(-1100, 1100), st.integers(-70, 10)))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.lists(_MP_TERMS, max_size=6), st.booleans()), max_size=20), _MP_TERMS)
+def test_sum_shells_sums_mpmath_terms_exactly(drawn, start):
+    # every term float, partial sum and the value is the float nearest the
+    # exact quantity; shell sums, magnitudes and max_term are sums of those
+    # floats.  A shell may open with the negated terms of the shell two back,
+    # so a total can cancel down to terms far below its largest ones
+    shell_terms = []
+    for i, (ts, undo) in enumerate(drawn):
+        if undo and i > 1:
+            ts = [(-man, exp) for man, exp in shell_terms[i - 2]] + ts
+        shell_terms.append(ts)
+    ctx = mpmath.MPContext()
+    ctx.dps = 30
+    shells = [(i, [((i, j), ctx.make_mpf(mpmath.libmp.from_man_exp(*t))) for j, t in enumerate(ts)])
+              for i, ts in enumerate(shell_terms)]
+    s = sum_shells(iter(shells), 0.0, abort_on_divergence=False,
+                   start=ctx.make_mpf(mpmath.libmp.from_man_exp(*start)))
+    total = Fraction(start[0]) * Fraction(2) ** start[1]
+    max_term = abs(_nearest_float(total))
+    record, used, last, ended = [], 0, 0.0, False
+    for i, ts in enumerate(shell_terms):
+        terms = []
+        shell_sum = mag = 0.0
+        for j, (man, exp) in enumerate(ts):
+            if man:
+                q = Fraction(man) * Fraction(2) ** exp
+                total += q
+                t = _nearest_float(q)
+                terms.append(((i, j), t.hex()))
+                shell_sum += t
+                mag += abs(t)
+                max_term = max(max_term, abs(t))
+        if terms:
+            record.append((i, terms, shell_sum.hex(), _nearest_float(total).hex()))
+            used, last = used + len(terms), mag
+            ended = not mag < 1e300
+            if ended:
+                break
+    assert (s.value.hex(), s.converged, s.exhausted, s.max_term.hex(), s.terms_used,
+            s.last_shell_magnitude.hex()) == (
+        _nearest_float(total).hex(), False, not ended, max_term.hex(), used, last.hex())
+    assert [(sh.label, [(k, t.hex()) for k, t in sh.terms], sh.shell_sum.hex(), sh.partial.hex())
+            for sh in s.record] == record
 
 
 def _kahan_reference(shells, start):
